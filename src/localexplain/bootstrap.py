@@ -8,9 +8,13 @@ the point estimate, and records every importance score.  Interval endpoints
 are percentiles of the replicate scores, so they need not be symmetric
 about the point estimate.
 
-Replicate RNG streams are counter-based (Philox keyed by seed and replicate
-index), which makes the replicate matrix independent of execution order and
-safe to parallelize.
+A run draws all B member subsets at once from one counter-based stream
+(Philox keyed by (seed, 0)): without replacement, each replicate's subset is
+the first floor(c * m) positions of an argsort of m uniform keys.  Row b of
+the index matrix depends only on the seed and b, so the replicates do not
+depend on execution order and the first b rows are the same for every B >= b.
+Each subset is then refit with a direct LAPACK gelsy call into one (B, q)
+coefficient matrix, and all replicates are scored in one batched call.
 """
 
 from __future__ import annotations
@@ -98,14 +102,20 @@ def percentile(values: np.ndarray, p: float) -> float:
 
 
 def replicate_indices(
-    seed: int, replicate: int, m: int, m_prime: int, with_replacement: bool = False
+    seed: int, B: int, m: int, m_prime: int, with_replacement: bool = False
 ) -> np.ndarray:
-    """The member subset for one replicate, from a (seed, replicate) keyed stream."""
-    key = np.array([seed & _MASK64, replicate & _MASK64], dtype=np.uint64)
+    """The (B, m_prime) member-index matrix of a run, one replicate per row.
+
+    One Philox stream keyed by (seed, 0) is consumed row by row, so row b
+    depends only on (seed, b).  Without replacement a row holds the first
+    ``m_prime`` positions of the argsort of m uniform keys, which is a
+    uniformly random subset in random order.
+    """
+    key = np.array([seed & _MASK64, 0], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     if with_replacement:
-        return rng.integers(0, m, size=m_prime)
-    return rng.choice(m, size=m_prime, replace=False)
+        return rng.integers(0, m, size=(B, m_prime))
+    return np.argsort(rng.random((B, m)), axis=1)[:, :m_prime]
 
 
 def intervals_from_distribution(
@@ -139,29 +149,18 @@ def bootstrap_from_problem(
             f"sub-neighborhood size floor(c*m) = {m_prime} is too small (need >= 2)"
         )
     names = tuple(problem.score_names)
-    rows: list[np.ndarray] = []
-    failed = 0
-    for b in range(boot.B):
-        idx = replicate_indices(boot.seed, b, m, m_prime, boot.with_replacement)
-        beta, rank = problem.solve_rows(idx)
-        if rank < 2:
-            failed += 1
-            continue
-        scores = problem.scores_from_coefficients(beta)
-        if not np.all(np.isfinite(scores)):
-            failed += 1
-            continue
-        rows.append(scores)
+    index = replicate_indices(boot.seed, boot.B, m, m_prime, boot.with_replacement)
+    coefficients, ranks = problem.solve_rows(index)
+    scores = problem.scores_from_coefficients(coefficients)
+    ok = (ranks >= 2) & np.isfinite(scores).all(axis=1)
+    failed = boot.B - int(ok.sum())
     if failed > MAX_FAILED_FRACTION * boot.B:
         raise BootstrapError(
             f"{failed} of {boot.B} bootstrap replicates failed "
             f"(more than {MAX_FAILED_FRACTION:.0%})"
         )
-    Z = np.vstack(rows) if rows else np.zeros((0, len(names)))
-    if Z.shape[0] == 0:
-        raise BootstrapError("no successful bootstrap replicates")
     dist = BootstrapDistribution(
-        names=names, scores=Z, failed_replicates=failed, B=boot.B, m_prime=m_prime
+        names=names, scores=scores[ok], failed_replicates=failed, B=boot.B, m_prime=m_prime
     )
     return intervals_from_distribution(dist, boot.alpha), dist
 

@@ -79,7 +79,6 @@ class ExplainConfig:
     standardized_units: bool = False
     naive_dof: str = "m-d-1"
     categorical_mode: str = "query"
-    weight_formula: str = "minmax"
 
     def __post_init__(self):
         if self.kind not in (GRADIENT, FUNCTION_DIFFERENCE):
@@ -171,7 +170,7 @@ class LocalProblem:
         self.X = self.basis.design_matrix(rows)
         self.y = targets
         if config.weighted:
-            weights = compute_weights(self.neighborhood.distances, config.weight_formula)
+            weights = compute_weights(self.neighborhood.distances)
             self.neighborhood = replace(self.neighborhood, weights=weights)
             sw = np.sqrt(weights)
             self.Xw = self.X * sw[:, None]
@@ -329,13 +328,21 @@ class LocalProblem:
             for f, v in zip(self.functionals, values)
         ]
 
-    def solve_rows(self, row_indices: np.ndarray) -> tuple[np.ndarray, int]:
-        """Minimum-norm LS coefficients on a row subset of the neighborhood.
+    def solve_rows(self, row_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Minimum-norm LS coefficients on row subsets of the neighborhood.
 
-        Rows are pre-scaled by sqrt-weights when the problem is weighted, so
-        a subset fit uses the same weighting mode as the point estimate.
+        ``row_indices`` is a (B, m') matrix with one subset per row; returns
+        the (B, q) coefficient matrix and the (B,) effective ranks.  Rows are
+        pre-scaled by sqrt-weights when the problem is weighted, so a subset
+        fit uses the same weighting mode as the point estimate.  Subsets are
+        solved one at a time: stacking them would hold B copies of the
+        design matrix in memory.
         """
-        return lstsq_min_norm(self.Xw[row_indices], self.yw[row_indices])
+        coefficients = np.empty((row_indices.shape[0], self.basis.q))
+        ranks = np.empty(row_indices.shape[0], dtype=np.int64)
+        for b, rows in enumerate(row_indices):
+            coefficients[b], ranks[b] = lstsq_min_norm(self.Xw[rows], self.yw[rows])
+        return coefficients, ranks
 
     # -- naive closed-form interval -----------------------------------------
 
@@ -361,7 +368,7 @@ class LocalProblem:
             raise ExplainError(
                 f"nonpositive degrees of freedom ({dof}) for the naive interval"
             )
-        beta, _ = lstsq_min_norm(self.X, self.y)
+        beta, rank = lstsq_min_norm(self.X, self.y)
         resid = self.y - self.X @ beta
         sigma2 = float(resid @ resid) / dof
         col = self.layout.numeric_columns[feature]
@@ -370,10 +377,14 @@ class LocalProblem:
             v = v / self.stats.stddev(feature)
         theta = float(beta @ v)
         XtX = self.X.T @ self.X
-        try:
-            solved = np.linalg.solve(XtX, v)
-        except np.linalg.LinAlgError:
-            solved = np.full_like(v, np.nan)
+        # a rank-deficient X'X can still "solve" to garbage, so trust solve
+        # only when the least-squares fit found full column rank
+        solved = np.full_like(v, np.nan)
+        if rank == self.basis.q:
+            try:
+                solved = np.linalg.solve(XtX, v)
+            except np.linalg.LinAlgError:
+                pass
         if not np.all(np.isfinite(solved)):
             solved = np.linalg.pinv(XtX, hermitian=True) @ v
             self.notes["naive_pseudo_inverse"] = True

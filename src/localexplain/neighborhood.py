@@ -203,14 +203,11 @@ def select_neighborhood(
     )
 
 
-def compute_weights(distances: np.ndarray, formula: str = "minmax") -> np.ndarray:
+def compute_weights(distances: np.ndarray) -> np.ndarray:
     """Min-max regression weights: nearest member 1, farthest 0.
 
     ``w_i = 1 - (phi_i - min phi) / (max phi - min phi)``.  When all
-    distances coincide the weights fall back to all ones.  ``formula``
-    accepts ``"legacy"`` for the alternative parenthesization
-    ``(1 - (phi_i - min phi)) / (max phi - min phi)``, which can go
-    negative; it exists for fidelity experiments only.
+    distances coincide the weights fall back to all ones.
     """
     phi = np.asarray(distances, dtype=float)
     if phi.size == 0:
@@ -218,8 +215,4 @@ def compute_weights(distances: np.ndarray, formula: str = "minmax") -> np.ndarra
     lo, hi = float(phi.min()), float(phi.max())
     if hi - lo <= 0.0:
         return np.ones_like(phi)
-    if formula == "minmax":
-        return 1.0 - (phi - lo) / (hi - lo)
-    if formula == "legacy":
-        return (1.0 - (phi - lo)) / (hi - lo)
-    raise DataError(f"unknown weight formula {formula!r}")
+    return 1.0 - (phi - lo) / (hi - lo)

@@ -5,24 +5,31 @@ numeric columns, including all interaction terms, in graded-lexicographic
 order.  Exponents on indicator (one-hot) columns are capped at 1 since
 b^2 = b would only duplicate columns and guarantee a singular normal matrix.
 
-Fitting goes through a rank-revealing orthogonal solve (LAPACK gelsy via
-scipy) rather than a literal (X^T X)^{-1} X^T y: small local neighborhoods
-with one-hot columns are frequently rank-deficient, and the minimum-norm
-solution keeps those fits well-defined.  The effective rank and condition
+Fitting goes through a rank-revealing orthogonal solve (LAPACK gelsy,
+called directly) rather than a literal (X^T X)^{-1} X^T y: small local
+neighborhoods with one-hot columns are frequently rank-deficient, and the
+minimum-norm solution keeps those fits well-defined.  The effective rank and condition
 number are surfaced in the fit diagnostics instead of failing the fit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 #: Condition numbers above this are flagged in diagnostics so callers can
 #: detect unstable explanations without the fit failing.
 CONDITION_WARN = 1e10
+
+_GELSY, _GELSY_LWORK = get_lapack_funcs(("gelsy", "gelsy_lwork"), (np.empty((1, 1)),))
+
+#: gelsy's rank cutoff, the default ``cond`` of ``scipy.linalg.lstsq``.
+_RCOND = float(np.finfo(np.float64).eps)
 
 
 class FitError(ValueError):
@@ -177,17 +184,39 @@ class PolynomialSurrogate:
         return self.basis.derivative_row(point, column)
 
 
+@functools.lru_cache(maxsize=None)
+def _gelsy_lwork(m: int, n: int) -> int:
+    """Optimal gelsy workspace for an m x n system with one right-hand side."""
+    work, info = _GELSY_LWORK(m, n, 1, _RCOND)
+    if info != 0:
+        raise FitError(f"gelsy workspace query failed (info={info})")
+    return int(work)
+
+
 def lstsq_min_norm(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
     """Minimum-norm least-squares solution and effective rank.
 
-    Uses column-pivoted complete orthogonal factorization (gelsy), which is
-    considerably faster than the SVD driver at the sizes seen in bootstrap
-    replicates while still returning the minimum-norm solution.
+    Calls LAPACK dgelsy (column-pivoted complete orthogonal factorization)
+    directly: it is considerably faster than the SVD driver at the sizes seen
+    in bootstrap replicates, and the direct call skips the per-call input
+    validation and workspace query of ``scipy.linalg.lstsq``.  The workspace
+    size is cached per shape; ``b`` is padded to max(m, n) and the rank
+    cutoff is float64 eps, as in ``scipy.linalg.lstsq(...,
+    lapack_driver="gelsy")``, so coefficients and rank are bit-identical to
+    that call.
     """
-    coef, _, rank, _ = scipy.linalg.lstsq(
-        X, y, lapack_driver="gelsy", check_finite=False
-    )
-    return coef, int(rank)
+    m, n = X.shape
+    if np.shape(y) != (m,):
+        raise FitError(f"targets have shape {np.shape(y)}, expected ({m},)")
+    b = np.zeros(max(m, n))
+    b[:m] = y
+    # jpvt is in/out: a nonzero entry pins that column first, so it must
+    # start zeroed on every call
+    jpvt = np.zeros(n, dtype=np.int32)
+    _, x, _, rank, info = _GELSY(X, b, jpvt, _RCOND, _gelsy_lwork(m, n), False, True)
+    if info < 0:
+        raise FitError(f"illegal value in argument {-info} of gelsy")
+    return x[:n], int(rank)
 
 
 def fit(

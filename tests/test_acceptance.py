@@ -199,6 +199,7 @@ def test_criterion_2_naive_calibration():
 # -----------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_3_pareto_dominance(desk_sweep):
     for seed, records in desk_sweep.items():
         boot = [r for r in records if r.method == "bootstrap" and not r.invalid]
@@ -246,6 +247,7 @@ def _pair_fraction(records, vary: str, higher_is_smaller: bool):
     return good, total
 
 
+@pytest.mark.slow
 def test_criterion_4_hyperparameter_trends(desk_sweep):
     fractions = {}
     for vary, higher_is_smaller, threshold in (

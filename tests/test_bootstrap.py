@@ -61,31 +61,41 @@ class TestPercentile:
 
 class TestReplicateIndices:
     def test_exact_size_and_distinct_members(self):
-        for b in range(50):
-            idx = replicate_indices(seed=9, replicate=b, m=40, m_prime=17)
-            assert len(idx) == 17
-            assert len(set(idx.tolist())) == 17
-            assert idx.min() >= 0 and idx.max() < 40
+        idx = replicate_indices(seed=9, B=50, m=40, m_prime=17)
+        assert idx.shape == (50, 17)
+        for row in idx:
+            assert len(set(row.tolist())) == 17
+        assert idx.min() >= 0 and idx.max() < 40
 
     def test_reproducible_per_key(self):
-        a = replicate_indices(123, 7, 100, 30)
-        b = replicate_indices(123, 7, 100, 30)
+        a = replicate_indices(123, 20, 100, 30)
+        b = replicate_indices(123, 20, 100, 30)
         np.testing.assert_array_equal(a, b)
-        c = replicate_indices(123, 8, 100, 30)
+        c = replicate_indices(124, 20, 100, 30)
         assert not np.array_equal(a, c)
 
+    def test_rows_differ_within_a_run(self):
+        idx = replicate_indices(123, 20, 100, 30)
+        assert len({tuple(row) for row in idx.tolist()}) == 20
+
+    def test_prefix_stable_in_B(self):
+        for with_replacement in (False, True):
+            full = replicate_indices(7, 64, 30, 12, with_replacement)
+            for B in (1, 2, 17, 63):
+                np.testing.assert_array_equal(
+                    replicate_indices(7, B, 30, 12, with_replacement), full[:B]
+                )
+
     def test_with_replacement_can_repeat(self):
-        seen_repeat = False
-        for b in range(50):
-            idx = replicate_indices(1, b, 10, 10, with_replacement=True)
-            if len(set(idx.tolist())) < 10:
-                seen_repeat = True
-                break
-        assert seen_repeat
+        idx = replicate_indices(1, 50, 10, 10, with_replacement=True)
+        assert idx.shape == (50, 10)
+        assert idx.min() >= 0 and idx.max() < 10
+        assert any(len(set(row.tolist())) < 10 for row in idx)
 
     def test_negative_seed_accepted(self):
-        idx = replicate_indices(-5, 0, 20, 5)
-        assert len(idx) == 5
+        idx = replicate_indices(-5, 3, 20, 5)
+        assert idx.shape == (3, 5)
+        np.testing.assert_array_equal(idx, replicate_indices(-5, 3, 20, 5))
 
 
 class TestConfigValidation:
@@ -196,3 +206,22 @@ class TestIntervals:
             problem = build_problem(ds, q, ExplainConfig(degree=2, m=30, kind="gradient"))
         with pytest.raises(BootstrapError, match="failed"):
             bootstrap_from_problem(problem, BootstrapConfig(B=20, c=0.5, seed=0))
+
+    def test_minority_of_failed_replicates_dropped(self):
+        # 6 of 20 rows share x = 0; a 2-member subset drawn from them has
+        # rank 1 (about 8% of replicates), every other subset recovers the
+        # noiseless slope exactly
+        schema = FeatureSchema((FeatureSpec("x1", "continuous"),))
+        x = np.concatenate([np.zeros(6), np.linspace(-2.0, 2.0, 14)]).reshape(-1, 1)
+        ds = QueryDataset(schema, x, np.zeros((20, 0), dtype=np.int64), 1.0 + 2.0 * x[:, 0])
+        cfg = ExplainConfig(degree=1, m=20, kind="gradient", weighted=False)
+        problem = build_problem(ds, query_at(ds, 0.0), cfg)
+        boot = BootstrapConfig(B=200, c=0.12, seed=4)
+        _, dist = bootstrap_from_problem(problem, boot)
+        tied = x[problem.neighborhood.member_indices, 0] == 0.0
+        index = replicate_indices(boot.seed, boot.B, 20, 2)
+        expected = int(tied[index].all(axis=1).sum())
+        assert 0 < expected <= 0.2 * boot.B
+        assert dist.failed_replicates == expected
+        assert dist.scores.shape == (boot.B - expected, 1)
+        np.testing.assert_allclose(dist.scores, 2.0, rtol=1e-9)

@@ -261,6 +261,33 @@ class TestNaiveInterval:
         ratio = (residual.standard_error / verbatim.standard_error) ** 2
         assert ratio == pytest.approx(98 / 96, rel=1e-9)
 
+    @pytest.mark.parametrize("seed, row", [(1, 0), (4, 2)])
+    def test_collinear_features_use_pseudo_inverse(self, seed, row):
+        # x2 is x1 up to 1e-15 noise: X'X is singular to working precision,
+        # yet np.linalg.solve returns (garbage) without raising; on these
+        # draws it gave standard errors of ~1e7 and exactly 0.0
+        rng = np.random.default_rng(seed)
+        x1 = rng.standard_normal(200)
+        x2 = 3.0 * x1 + 1.0 + 1e-15 * rng.standard_normal(200)
+        y = x1 + x2 + rng.standard_normal(200)
+        ds = QueryDataset(
+            continuous_schema(2), np.column_stack([x1, x2]),
+            np.zeros((200, 0), dtype=np.int64), y,
+        )
+        cfg = ExplainConfig(degree=1, m=80, kind="gradient", weighted=False, balance=False)
+        problem = build_problem(ds, QueryPoint.from_row(ds, row), cfg)
+        iv = problem.naive_interval("x1")
+        assert problem.notes.get("naive_pseudo_inverse") is True
+        col = problem.layout.numeric_columns["x1"]
+        X, v = problem.X, problem.basis.derivative_row(problem.query_enc, col)
+        v = v / problem.stats.stddev("x1")
+        beta = np.linalg.pinv(X) @ problem.y
+        resid = problem.y - X @ beta
+        sigma2 = float(resid @ resid) / (80 - 2 - 1)
+        se = math.sqrt(float(v @ np.linalg.pinv(X.T @ X, hermitian=True) @ v) * sigma2)
+        assert iv.standard_error == pytest.approx(se, rel=1e-6)
+        assert 0.0 < iv.standard_error < 1.0
+
     def test_width_scales_inverse_sqrt_m(self):
         rng = np.random.default_rng(59)
         ms = [50, 100, 200, 400]

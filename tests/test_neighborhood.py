@@ -122,8 +122,3 @@ class TestWeights:
         w = compute_weights(phi)
         assert (np.diff(w) <= 1e-15).all()
         assert w.min() >= 0.0 and w.max() == 1.0
-
-    def test_legacy_formula_available(self):
-        phi = np.array([0.0, 0.5, 2.0])
-        w = compute_weights(phi, formula="legacy")
-        np.testing.assert_allclose(w, [0.5, 0.25, -0.5])

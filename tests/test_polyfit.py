@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from localexplain.polyfit import (
     FitError,
@@ -231,3 +232,47 @@ class TestMinNormSolver:
         ref = np.linalg.lstsq(X, y, rcond=None)[0]  # gelsd minimum-norm
         assert rank == 4
         np.testing.assert_allclose(ours, ref, rtol=1e-8, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "shape, dependent",
+        [
+            ((50, 8), False),  # overdetermined
+            ((12, 12), False),  # square
+            ((59, 104), False),  # underdetermined, the paper's replicate size
+            ((40, 10), True),  # rank-deficient, overdetermined
+            ((8, 20), True),  # rank-deficient, underdetermined
+            ((1, 6), False),  # single row
+            ((1, 1), False),
+        ],
+    )
+    def test_bit_identical_to_scipy_gelsy(self, shape, dependent):
+        rng = np.random.default_rng(35)
+        # several draws of one shape: the cached workspace and a fresh
+        # pivot vector must give the same answer on every call
+        for _ in range(5):
+            if dependent:
+                X = rng.normal(size=(shape[0], 4)) @ rng.normal(size=(4, shape[1]))
+            else:
+                X = rng.normal(size=shape)
+            y = rng.normal(size=shape[0])
+            ours, rank = lstsq_min_norm(X, y)
+            ref, _, ref_rank, _ = scipy.linalg.lstsq(
+                X, y, lapack_driver="gelsy", check_finite=False
+            )
+            np.testing.assert_array_equal(ours, ref)
+            assert rank == ref_rank
+            assert (rank < min(shape)) if dependent else (rank == min(shape))
+            assert ours.shape == (shape[1],)
+
+    def test_inputs_left_untouched(self):
+        rng = np.random.default_rng(36)
+        X = rng.normal(size=(6, 9))
+        y = rng.normal(size=6)
+        X0, y0 = X.copy(), y.copy()
+        lstsq_min_norm(X, y)
+        np.testing.assert_array_equal(X, X0)
+        np.testing.assert_array_equal(y, y0)
+
+    def test_target_shape_mismatch_rejected(self):
+        with pytest.raises(FitError):
+            lstsq_min_norm(np.ones((4, 2)), np.ones(3))
