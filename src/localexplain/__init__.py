@@ -40,7 +40,6 @@ from .explain import (
     NaiveInterval,
     build_problem,
     explain,
-    naive_interval,
 )
 from .neighborhood import (
     BalanceError,
@@ -105,7 +104,6 @@ __all__ = [
     "ground_truth_value",
     "intervals_from_distribution",
     "load_dataset",
-    "naive_interval",
     "pareto_frontier",
     "percentile",
     "run_sweep",

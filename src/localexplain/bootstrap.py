@@ -2,17 +2,16 @@
 
 Each replicate draws floor(c * m) members uniformly *without replacement*
 from the already-selected neighborhood (subsampling, not the classical
-with-replacement bootstrap; a with-replacement mode exists behind a flag for
-comparison studies), refits the surrogate with the same weighting mode as
-the point estimate, and records every importance score.  Interval endpoints
-are percentiles of the replicate scores, so they need not be symmetric
-about the point estimate.
+with-replacement bootstrap), refits the surrogate with the same weighting
+mode as the point estimate, and records every importance score.  Interval
+endpoints are percentiles of the replicate scores, so they need not be
+symmetric about the point estimate.
 
 A run draws all B member subsets at once from one counter-based stream
-(Philox keyed by (seed, 0)): without replacement, each replicate's subset is
-the first floor(c * m) positions of an argsort of m uniform keys.  Row b of
-the index matrix depends only on the seed and b, so the replicates do not
-depend on execution order and the first b rows are the same for every B >= b.
+(Philox keyed by (seed, 0)): each replicate's subset is the first
+floor(c * m) positions of an argsort of m uniform keys.  Row b of the index
+matrix depends only on the seed and b, so the replicates do not depend on
+execution order and the first b rows are the same for every B >= b.
 Each subset is then refit with a direct LAPACK gelsy call into one (B, q)
 coefficient matrix, and all replicates are scored in one batched call.
 """
@@ -46,7 +45,6 @@ class BootstrapConfig:
     c: float = 0.9
     alpha: float = 0.05
     seed: int = 0
-    with_replacement: bool = False
 
     def __post_init__(self):
         if self.B < 2:
@@ -81,40 +79,38 @@ class BootstrapDistribution:
         return self.scores[:, self.names.index(name)]
 
 
-def percentile(values: np.ndarray, p: float) -> float:
+def percentile(values: np.ndarray, p: float) -> float | np.ndarray:
     """Linear interpolation between closest ranks (the common "type 7" rule).
 
     With sorted values v_1..v_B and h = (B-1) * p / 100 the result is
     ``v_{floor(h)+1} + (h - floor(h)) * (v_{floor(h)+2} - v_{floor(h)+1})``.
+    A 1-D input gives a float; a (B, n) matrix gives one value per column.
     """
-    values = np.asarray(values, dtype=float).reshape(-1)
-    if values.size == 0:
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    if values.ndim > 2:
+        raise BootstrapError("percentile takes a vector or a (B, n) matrix")
+    if values.shape[0] == 0:
         raise BootstrapError("percentile of empty values")
     if not 0.0 <= p <= 100.0:
         raise BootstrapError("percentile p must lie in [0, 100]")
-    v = np.sort(values)
-    B = v.size
+    v = np.sort(values, axis=0)
+    B = v.shape[0]
     h = (B - 1) * p / 100.0
     lo = int(np.floor(h))
-    if lo >= B - 1:
-        return float(v[B - 1])
-    return float(v[lo] + (h - lo) * (v[lo + 1] - v[lo]))
+    out = v[B - 1] if lo >= B - 1 else v[lo] + (h - lo) * (v[lo + 1] - v[lo])
+    return float(out) if values.ndim == 1 else out
 
 
-def replicate_indices(
-    seed: int, B: int, m: int, m_prime: int, with_replacement: bool = False
-) -> np.ndarray:
+def replicate_indices(seed: int, B: int, m: int, m_prime: int) -> np.ndarray:
     """The (B, m_prime) member-index matrix of a run, one replicate per row.
 
     One Philox stream keyed by (seed, 0) is consumed row by row, so row b
-    depends only on (seed, b).  Without replacement a row holds the first
-    ``m_prime`` positions of the argsort of m uniform keys, which is a
-    uniformly random subset in random order.
+    depends only on (seed, b).  A row holds the first ``m_prime`` positions
+    of the argsort of m uniform keys, which is a uniformly random subset
+    without replacement, in random order.
     """
     key = np.array([seed & _MASK64, 0], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    if with_replacement:
-        return rng.integers(0, m, size=(B, m_prime))
     return np.argsort(rng.random((B, m)), axis=1)[:, :m_prime]
 
 
@@ -124,18 +120,12 @@ def intervals_from_distribution(
     """Percentile intervals at level alpha from an existing replicate matrix."""
     if not 0.0 < alpha < 1.0:
         raise BootstrapError("alpha must lie in (0, 1)")
-    out = []
-    for j, name in enumerate(dist.names):
-        col = dist.scores[:, j]
-        out.append(
-            UncertaintyInterval(
-                feature=name,
-                lower=percentile(col, 100.0 * alpha / 2.0),
-                upper=percentile(col, 100.0 * (1.0 - alpha / 2.0)),
-                alpha=alpha,
-            )
-        )
-    return out
+    lower = percentile(dist.scores, 100.0 * alpha / 2.0)
+    upper = percentile(dist.scores, 100.0 * (1.0 - alpha / 2.0))
+    return [
+        UncertaintyInterval(feature=name, lower=float(lo), upper=float(hi), alpha=alpha)
+        for name, lo, hi in zip(dist.names, lower, upper)
+    ]
 
 
 def bootstrap_from_problem(
@@ -148,8 +138,8 @@ def bootstrap_from_problem(
         raise BootstrapError(
             f"sub-neighborhood size floor(c*m) = {m_prime} is too small (need >= 2)"
         )
-    names = tuple(problem.score_names)
-    index = replicate_indices(boot.seed, boot.B, m, m_prime, boot.with_replacement)
+    names = problem.score_names
+    index = replicate_indices(boot.seed, boot.B, m, m_prime)
     coefficients, ranks = problem.solve_rows(index)
     scores = problem.scores_from_coefficients(coefficients)
     ok = (ranks >= 2) & np.isfinite(scores).all(axis=1)

@@ -28,6 +28,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -93,10 +94,16 @@ def _manifest(command: str, parameters: dict, inputs: dict[str, str | None]) -> 
     )
 
 
-def _default_threads() -> int:
+def _threads(args) -> int:
+    """``--threads``, else ``LOCALEXPLAIN_THREADS``, else the CPU count."""
+    if args.threads is not None:
+        return args.threads
     env = os.environ.get(THREADS_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -209,7 +216,7 @@ def _report_for_problem(problem: LocalProblem, boot: BootstrapConfig, naive_ci: 
 
 
 def cmd_explain(args) -> int:
-    schema = FeatureSchema.from_json(open(args.schema, encoding="utf-8").read())
+    schema = FeatureSchema.from_json(Path(args.schema).read_text(encoding="utf-8"))
     dataset = load_dataset(args.data, schema, output_column=args.output_column)
     deltas = _parse_deltas(args.delta)
     query = _parse_query(args.query, dataset)
@@ -255,7 +262,8 @@ def _read_query_rows(path: str, schema: FeatureSchema) -> list[dict[str, str]]:
 
 
 def cmd_summarize(args) -> int:
-    schema = FeatureSchema.from_json(open(args.schema, encoding="utf-8").read())
+    threads = _threads(args)
+    schema = FeatureSchema.from_json(Path(args.schema).read_text(encoding="utf-8"))
     dataset = load_dataset(args.data, schema, output_column=args.output_column)
     deltas = _parse_deltas(args.delta)
     config = _explain_config(args, deltas)
@@ -279,7 +287,6 @@ def cmd_summarize(args) -> int:
             return None, f"instance {idx}: {type(exc).__name__}: {exc}"
 
     items = list(enumerate(rows))
-    threads = args.threads
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_instance, items))
@@ -352,7 +359,7 @@ def cmd_sweep(args) -> int:
         seed=args.seed,
         coverage_feature=args.coverage_feature,
     )
-    records = run_sweep(grid, threads=args.threads)
+    records = run_sweep(grid, threads=_threads(args))
     manifest = _manifest(
         "sweep",
         {
@@ -434,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("summarize", help="summarize scores/widths over a set of instances")
     _add_common_explain_flags(p)
     p.add_argument("--queries", required=True, help="CSV of query instances")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=None,
+                   help=f"worker threads (default: ${THREADS_ENV}, else the CPU count)")
     p.add_argument("--out", default=None, help="summary CSV path (default: stdout)")
     p.set_defaults(func=cmd_summarize)
 
@@ -456,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--coverage-feature", choices=["x1", "x2"], default="x1",
                    help="which derivative the intervals are checked against")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=None,
+                   help=f"worker threads (default: ${THREADS_ENV}, else the CPU count)")
     p.add_argument("--merge", default=None,
                    help="CSV of external (method,avg_width,coverage) rows to overlay")
     p.add_argument("--sweep-out", required=True, help="sweep records CSV path")

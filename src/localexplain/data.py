@@ -14,6 +14,7 @@ back.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass
@@ -219,7 +220,8 @@ class QueryDataset:
     Numeric features are stored as a dense float matrix (schema order of the
     numeric features), categorical features as integer codes into each
     feature's declared category tuple.  Instances are safe to share across
-    threads; no method mutates them.
+    threads; no method mutates them, and the one cached value,
+    :attr:`standardized`, is computed on first use.
     """
 
     def __init__(
@@ -275,10 +277,10 @@ class QueryDataset:
                 out[spec.name] = spec.categories[code]
         return out
 
-    def category_labels(self, name: str) -> np.ndarray:
-        spec = self.schema.feature(name)
-        codes = self.codes[:, self.schema.categorical_index(name)]
-        return np.asarray(spec.categories, dtype=object)[codes]
+    @functools.cached_property
+    def standardized(self) -> tuple[QueryDataset, StandardizationStats]:
+        """:func:`standardize` of this dataset, computed once per dataset."""
+        return standardize(self)
 
 
 def _resolve_baselines(schema: FeatureSchema, codes: np.ndarray) -> FeatureSchema:
@@ -495,13 +497,10 @@ class OneHotLayout:
                 out[:, col] = codes[:, j] == spec.categories.index(cat)
         return out
 
-    def encode_dataset(self, dataset: QueryDataset) -> np.ndarray:
-        return self.encode(dataset.numeric, dataset.codes)
-
 
 def encode_one_hot(dataset: QueryDataset) -> np.ndarray:
     """One-hot encode a dataset into its numeric design table (n x width)."""
-    return OneHotLayout(dataset.schema).encode_dataset(dataset)
+    return OneHotLayout(dataset.schema).encode(dataset.numeric, dataset.codes)
 
 
 def to_log_odds(p: np.ndarray | float) -> np.ndarray | float:

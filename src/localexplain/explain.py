@@ -16,32 +16,33 @@ When the recorded outputs are probabilities, targets are fit on the
 log-odds scale and differences are mapped back through the inverse
 transform before reporting; gradients are unavailable in that mode.
 
-Every score is a functional of the coefficient vector, which is what makes
-bootstrap replicates cheap: refit the coefficients on a sub-neighborhood and
-re-apply the same functionals.
+Every score is ``link(beta . plus) - link(beta . minus)`` for two fixed
+basis-space vectors, so a problem's scores are two (q, n_scores) matrices
+applied to the coefficient vector.  That is what makes bootstrap replicates
+cheap: refit the coefficients on a sub-neighborhood and re-apply the same
+matrices.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .data import (
-    DataError,
-    OneHotLayout,
-    QueryDataset,
-    StandardizationStats,
-    from_log_odds,
-    standardize,
-    to_log_odds,
-)
+from .data import OneHotLayout, QueryDataset, from_log_odds, to_log_odds
 from .neighborhood import Neighborhood, QueryPoint, compute_weights, select_neighborhood
-from .polyfit import MonomialBasis, PolynomialSurrogate, expand_basis, fit, lstsq_min_norm
+from .polyfit import (
+    MonomialBasis,
+    PolynomialSurrogate,
+    expand_basis,
+    lstsq_min_norm,
+    solve_system,
+    weighted_system,
+)
 
 GRADIENT = "gradient"
 FUNCTION_DIFFERENCE = "function_difference"
@@ -62,9 +63,7 @@ class ExplainConfig:
 
     ``kind`` picks the importance proxy for continuous/ordinal features;
     categorical features always use the baseline difference.  ``deltas``
-    overrides perturbation steps per feature name.  ``naive_dof`` selects
-    the noise-variance denominator: ``"m-d-1"`` (d = number of raw
-    features) or the conventional ``"m-q"``.  ``categorical_mode="pairs"``
+    overrides perturbation steps per feature name.  ``categorical_mode="pairs"``
     reports one baseline difference per non-baseline category instead of
     only the query's own category.
     """
@@ -77,7 +76,6 @@ class ExplainConfig:
     balance_fallback: bool = False
     deltas: Mapping[str, float] = field(default_factory=dict)
     standardized_units: bool = False
-    naive_dof: str = "m-d-1"
     categorical_mode: str = "query"
 
     def __post_init__(self):
@@ -87,8 +85,6 @@ class ExplainConfig:
             raise ExplainError("polynomial degree must be >= 1")
         if self.m < 1:
             raise ExplainError("neighborhood size m must be >= 1")
-        if self.naive_dof not in ("m-d-1", "m-q"):
-            raise ExplainError(f"unknown naive_dof {self.naive_dof!r}")
         if self.categorical_mode not in ("query", "pairs"):
             raise ExplainError(f"unknown categorical_mode {self.categorical_mode!r}")
 
@@ -113,30 +109,12 @@ class NaiveInterval:
     standard_error: float
 
 
-@dataclass(frozen=True)
-class _Functional:
-    """A score as a function of the coefficient vector.
-
-    Either a linear form (``linear`` set: score = beta . linear) or a
-    difference of two basis evaluations with an optional inverse-link on
-    each side (score = link(beta . plus) - link(beta . minus)).
-    """
-
-    name: str
-    feature: str
-    kind: str
-    linear: np.ndarray | None = None
-    plus: np.ndarray | None = None
-    minus: np.ndarray | None = None
-    log_odds: bool = False
-
-
 class LocalProblem:
     """All precomputed state for explaining one query point.
 
     Shared by the point estimate, the naive interval, and bootstrap
     replicates so that they agree on the neighborhood, basis, targets and
-    score functionals.  Instances are immutable in practice and safe to
+    score matrices.  Instances are immutable in practice and safe to
     share across threads.
     """
 
@@ -150,7 +128,7 @@ class LocalProblem:
                 "gradient scores are unavailable with probability outputs; "
                 "use function_difference"
             )
-        std_dataset, stats = standardize(dataset)
+        std_dataset, stats = dataset.standardized
         self.stats = stats
         self.query = query
         self.query_std = query.standardized(stats)
@@ -169,20 +147,13 @@ class LocalProblem:
         )
         self.X = self.basis.design_matrix(rows)
         self.y = targets
-        if config.weighted:
-            weights = compute_weights(self.neighborhood.distances)
-            self.neighborhood = replace(self.neighborhood, weights=weights)
-            sw = np.sqrt(weights)
-            self.Xw = self.X * sw[:, None]
-            self.yw = self.y * sw
-        else:
-            self.Xw, self.yw = self.X, self.y
-        self.encoded_rows = rows
+        weights = compute_weights(self.neighborhood.distances) if config.weighted else None
+        self.Xw, self.yw = weighted_system(self.X, self.y, weights)
         self.query_enc = self.layout.encode(
             self.query_std.numeric.reshape(1, -1), self.query_std.codes.reshape(1, -1)
         )[0]
         self.deltas = self._resolve_deltas()
-        self.functionals = self._build_functionals()
+        self.score_names, self.score_kinds, self.plus, self.minus = self._score_matrices()
         self.notes: dict[str, object] = {}
         self._surrogate: PolynomialSurrogate | None = None
         if config.m < self.basis.q:
@@ -209,9 +180,15 @@ class LocalProblem:
             deltas[spec.name] = delta
         return deltas
 
-    def _build_functionals(self) -> list[_Functional]:
+    def _score_matrices(self) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray, np.ndarray]:
+        """Score names, kinds, and the (q, n_scores) ``plus``/``minus`` matrices.
+
+        A gradient score is a derivative loading in ``plus`` against a zero
+        column in ``minus``; a difference score holds the two basis rows.
+        """
         config = self.config
-        funcs: list[_Functional] = []
+        scores: list[tuple[str, str, np.ndarray, np.ndarray]] = []
+        basis_row = self.basis.basis_row
         for spec in self.schema.features:
             if spec.is_numeric:
                 col = self.layout.numeric_columns[spec.name]
@@ -220,57 +197,31 @@ class LocalProblem:
                     v = self.basis.derivative_row(self.query_enc, col)
                     if not config.standardized_units:
                         v = v / sigma
-                    funcs.append(
-                        _Functional(name=spec.name, feature=spec.name, kind=GRADIENT, linear=v)
-                    )
+                    scores.append((spec.name, GRADIENT, v, np.zeros(self.basis.q)))
                 else:
                     step = self.deltas[spec.name] / sigma  # delta in standardized units
                     hi = self.query_enc.copy()
                     hi[col] += step
                     lo = self.query_enc.copy()
                     lo[col] -= step
-                    funcs.append(
-                        _Functional(
-                            name=spec.name,
-                            feature=spec.name,
-                            kind=FUNCTION_DIFFERENCE,
-                            plus=self.basis.basis_row(hi),
-                            minus=self.basis.basis_row(lo),
-                            log_odds=self.log_odds,
-                        )
-                    )
+                    scores.append((spec.name, FUNCTION_DIFFERENCE, basis_row(hi), basis_row(lo)))
             else:
                 cols = self.layout.categorical_columns[spec.name]
                 base_row = self.query_enc.copy()
                 for c in cols.values():
                     base_row[c] = 0.0  # baseline encodes as all zeros
-                phi_base = self.basis.basis_row(base_row)
+                phi_base = basis_row(base_row)
                 if config.categorical_mode == "pairs":
                     for cat, c in cols.items():
                         cat_row = base_row.copy()
                         cat_row[c] = 1.0
-                        funcs.append(
-                            _Functional(
-                                name=f"{spec.name}={cat}",
-                                feature=spec.name,
-                                kind=BASELINE_DIFFERENCE,
-                                plus=self.basis.basis_row(cat_row),
-                                minus=phi_base,
-                                log_odds=self.log_odds,
-                            )
-                        )
+                        phi_cat = basis_row(cat_row)
+                        scores.append((f"{spec.name}={cat}", BASELINE_DIFFERENCE, phi_cat, phi_base))
                 else:
-                    funcs.append(
-                        _Functional(
-                            name=spec.name,
-                            feature=spec.name,
-                            kind=BASELINE_DIFFERENCE,
-                            plus=self.basis.basis_row(self.query_enc),
-                            minus=phi_base,
-                            log_odds=self.log_odds,
-                        )
-                    )
-        return funcs
+                    phi_query = basis_row(self.query_enc)
+                    scores.append((spec.name, BASELINE_DIFFERENCE, phi_query, phi_base))
+        names, kinds, plus, minus = zip(*scores)
+        return names, kinds, np.column_stack(plus), np.column_stack(minus)
 
     # -- fitting and scoring ----------------------------------------------
 
@@ -278,15 +229,10 @@ class LocalProblem:
     def m(self) -> int:
         return self.neighborhood.m
 
-    @property
-    def score_names(self) -> list[str]:
-        return [f.name for f in self.functionals]
-
     def surrogate(self) -> PolynomialSurrogate:
         """The full-neighborhood fit (cached)."""
         if self._surrogate is None:
-            weights = self.neighborhood.weights if self.config.weighted else None
-            surrogate = fit(self.encoded_rows, self.y, self.basis, weights=weights)
+            surrogate = solve_system(self.Xw, self.yw, self.basis)
             if surrogate.diagnostics.effective_rank < 2:
                 raise ExplainError(
                     "surrogate rank collapse: effective rank "
@@ -297,26 +243,18 @@ class LocalProblem:
         return self._surrogate
 
     def scores_from_coefficients(self, beta: np.ndarray) -> np.ndarray:
-        """Apply every score functional to coefficient vector(s).
+        """Every importance score, ``link(beta @ plus) - link(beta @ minus)``.
 
         ``beta`` may be a single (q,) vector or a (B, q) batch; returns
-        (n_scores,) or (B, n_scores) accordingly.
+        (n_scores,) or (B, n_scores) accordingly.  The link is the inverse
+        log-odds transform for probability outputs and the identity otherwise.
         """
         beta = np.asarray(beta, dtype=float)
-        single = beta.ndim == 1
-        B = np.atleast_2d(beta)
-        out = np.empty((B.shape[0], len(self.functionals)))
-        for j, f in enumerate(self.functionals):
-            if f.linear is not None:
-                out[:, j] = B @ f.linear
-            else:
-                hi = B @ f.plus
-                lo = B @ f.minus
-                if f.log_odds:
-                    hi = np.asarray(from_log_odds(hi))
-                    lo = np.asarray(from_log_odds(lo))
-                out[:, j] = hi - lo
-        return out[0] if single else out
+        hi = beta @ self.plus
+        lo = beta @ self.minus
+        if self.log_odds:
+            hi, lo = from_log_odds(hi), from_log_odds(lo)
+        return hi - lo
 
     def point_scores(self) -> list[ImportanceScore]:
         surrogate = self.surrogate()
@@ -324,8 +262,8 @@ class LocalProblem:
         if not np.all(np.isfinite(values)):
             raise ExplainError("non-finite importance score in point estimate")
         return [
-            ImportanceScore(feature=f.name, value=float(v), kind=f.kind)
-            for f, v in zip(self.functionals, values)
+            ImportanceScore(feature=name, value=float(v), kind=kind)
+            for name, kind, v in zip(self.score_names, self.score_kinds, values)
         ]
 
     def solve_rows(self, row_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -351,8 +289,9 @@ class LocalProblem:
 
         Always computed from an ordinary (unweighted) least-squares fit on
         the neighborhood, per the classical derivation: theta = beta . v,
-        Var(theta) = v' (X'X)^{-1} v * sigma2 with sigma2 = RSS / dof.
-        Requires raw (non-probability) outputs and a numeric feature.
+        Var(theta) = v' (X'X)^{-1} v * sigma2 with sigma2 = RSS / dof and
+        dof = m - d - 1 (d = number of raw features).  Requires raw
+        (non-probability) outputs and a numeric feature.
         """
         if self.log_odds:
             raise ExplainError("naive intervals are not defined for log-odds targets")
@@ -361,9 +300,7 @@ class LocalProblem:
             raise ExplainError("naive intervals apply to continuous/ordinal features only")
         if not 0 < alpha < 1:
             raise ExplainError("alpha must be in (0, 1)")
-        d = len(self.schema.features)
-        m = self.m
-        dof = m - d - 1 if self.config.naive_dof == "m-d-1" else m - self.basis.q
+        dof = self.m - len(self.schema.features) - 1
         if dof <= 0:
             raise ExplainError(
                 f"nonpositive degrees of freedom ({dof}) for the naive interval"
@@ -413,8 +350,3 @@ def explain(
     """Importance scores for every feature plus the fitted local surrogate."""
     problem = build_problem(dataset, query, config)
     return problem.point_scores(), problem.surrogate()
-
-
-def naive_interval(problem: LocalProblem, feature: str, alpha: float = 0.05) -> NaiveInterval:
-    """Module-level alias for :meth:`LocalProblem.naive_interval`."""
-    return problem.naive_interval(feature, alpha)

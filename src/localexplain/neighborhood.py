@@ -86,15 +86,13 @@ class QueryPoint:
 
 @dataclass(frozen=True)
 class Neighborhood:
-    """The selected rows: dataset indices, their distances, optional weights.
+    """The selected rows: dataset indices and their distances.
 
-    Distances are nondecreasing in selection order.  Weights, when present,
-    lie in [0, 1] with the nearest member at exactly 1.
+    Distances are nondecreasing in selection order.
     """
 
     member_indices: np.ndarray
     distances: np.ndarray
-    weights: np.ndarray | None = None
     balance_fallback_used: bool = False
 
     @property

@@ -10,6 +10,9 @@ called directly) rather than a literal (X^T X)^{-1} X^T y: small local
 neighborhoods with one-hot columns are frequently rank-deficient, and the
 minimum-norm solution keeps those fits well-defined.  The effective rank and condition
 number are surfaced in the fit diagnostics instead of failing the fit.
+
+Every weighted fit is :func:`weighted_system` followed by
+:func:`solve_system`; :func:`fit` applies both to a fresh design matrix.
 """
 
 from __future__ import annotations
@@ -179,10 +182,6 @@ class PolynomialSurrogate:
         """Analytic partial derivative with respect to an encoded column."""
         return float(self.basis.derivative_row(point, column) @ self.coefficients)
 
-    def derivative_loading(self, column: int, point: np.ndarray) -> np.ndarray:
-        """The v vector with partial_derivative == coefficients . v."""
-        return self.basis.derivative_row(point, column)
-
 
 @functools.lru_cache(maxsize=None)
 def _gelsy_lwork(m: int, n: int) -> int:
@@ -219,6 +218,49 @@ def lstsq_min_norm(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
     return x[:n], int(rank)
 
 
+def weighted_system(
+    X: np.ndarray, targets: np.ndarray, weights: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Design matrix and targets scaled row-wise by sqrt-weights.
+
+    Ordinary least squares on the result minimizes
+    ``sum_i w_i (y_i - X_i . beta)^2``.  ``weights=None`` means unit
+    weights and returns the inputs unchanged.
+    """
+    if weights is None:
+        return X, targets
+    weights = np.asarray(weights, dtype=float).reshape(-1)
+    if weights.shape[0] != X.shape[0]:
+        raise FitError("weight count does not match row count")
+    if (weights < 0).any():
+        raise FitError("weights must be nonnegative")
+    if not (weights > 0).any():
+        raise FitError("all weights are zero")
+    sw = np.sqrt(weights)
+    return X * sw[:, None], targets * sw
+
+
+def solve_system(Xw: np.ndarray, yw: np.ndarray, basis: MonomialBasis) -> PolynomialSurrogate:
+    """The minimum-norm fit of an already weighted design matrix, with diagnostics."""
+    coef, rank = lstsq_min_norm(Xw, yw)
+    residuals = yw - Xw @ coef
+    # condition of the subproblem actually solved: largest over rank-th
+    # singular value, so interpolating rank-deficient fits are not flagged
+    # merely for having a null space
+    sv = scipy.linalg.svdvals(Xw)
+    condition = float(sv[0] / sv[rank - 1]) if rank >= 1 and sv[rank - 1] > 0 else np.inf
+    diagnostics = FitDiagnostics(
+        rss=float(residuals @ residuals),
+        effective_rank=rank,
+        condition=condition,
+        n_rows=Xw.shape[0],
+        n_terms=basis.q,
+    )
+    return PolynomialSurrogate(
+        basis=basis, coefficients=coef, degree=basis.degree, diagnostics=diagnostics
+    )
+
+
 def fit(
     rows: np.ndarray,
     targets: np.ndarray,
@@ -239,35 +281,5 @@ def fit(
         raise FitError("row count does not match target count")
     if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(targets))):
         raise FitError("fit inputs contain non-finite values")
-    X = basis.design_matrix(rows)
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float).reshape(-1)
-        if weights.shape[0] != rows.shape[0]:
-            raise FitError("weight count does not match row count")
-        if (weights < 0).any():
-            raise FitError("weights must be nonnegative")
-        if not (weights > 0).any():
-            raise FitError("all weights are zero")
-        sw = np.sqrt(weights)
-        Xw = X * sw[:, None]
-        yw = targets * sw
-    else:
-        Xw, yw = X, targets
-    coef, rank = lstsq_min_norm(Xw, yw)
-    residuals = yw - Xw @ coef
-    rss = float(residuals @ residuals)
-    # condition of the subproblem actually solved: largest over rank-th
-    # singular value, so interpolating rank-deficient fits are not flagged
-    # merely for having a null space
-    sv = scipy.linalg.svdvals(Xw)
-    condition = float(sv[0] / sv[rank - 1]) if rank >= 1 and sv[rank - 1] > 0 else np.inf
-    diagnostics = FitDiagnostics(
-        rss=rss,
-        effective_rank=rank,
-        condition=condition,
-        n_rows=rows.shape[0],
-        n_terms=basis.q,
-    )
-    return PolynomialSurrogate(
-        basis=basis, coefficients=coef, degree=basis.degree, diagnostics=diagnostics
-    )
+    Xw, yw = weighted_system(basis.design_matrix(rows), targets, weights)
+    return solve_system(Xw, yw, basis)

@@ -54,6 +54,17 @@ class TestPercentile:
         with pytest.raises(BootstrapError):
             percentile(np.array([]), 50)
 
+    def test_matrix_columns_match_vector_calls(self):
+        rng = np.random.default_rng(72)
+        for B in (1, 2, 7, 500):
+            values = rng.normal(size=(B, 4))
+            values[:, 3] = np.round(values[:, 3])  # ties
+            for p in (0.0, 2.5, 13.0, 50.0, 97.5, 100.0):
+                columns = percentile(values, p)
+                assert columns.shape == (4,)
+                for j in range(4):
+                    assert columns[j] == percentile(values[:, j], p)
+
     def test_out_of_range_p_rejected(self):
         with pytest.raises(BootstrapError):
             percentile(np.array([1.0]), 101)
@@ -79,18 +90,9 @@ class TestReplicateIndices:
         assert len({tuple(row) for row in idx.tolist()}) == 20
 
     def test_prefix_stable_in_B(self):
-        for with_replacement in (False, True):
-            full = replicate_indices(7, 64, 30, 12, with_replacement)
-            for B in (1, 2, 17, 63):
-                np.testing.assert_array_equal(
-                    replicate_indices(7, B, 30, 12, with_replacement), full[:B]
-                )
-
-    def test_with_replacement_can_repeat(self):
-        idx = replicate_indices(1, 50, 10, 10, with_replacement=True)
-        assert idx.shape == (50, 10)
-        assert idx.min() >= 0 and idx.max() < 10
-        assert any(len(set(row.tolist())) < 10 for row in idx)
+        full = replicate_indices(7, 64, 30, 12)
+        for B in (1, 2, 17, 63):
+            np.testing.assert_array_equal(replicate_indices(7, B, 30, 12), full[:B])
 
     def test_negative_seed_accepted(self):
         idx = replicate_indices(-5, 3, 20, 5)

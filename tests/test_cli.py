@@ -1,12 +1,15 @@
 """End-to-end command-line behavior on small synthetic inputs."""
 
+import gc
 import json
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from localexplain.cli import EXIT_ERROR, EXIT_OK, EXIT_PARTIAL, main
+from localexplain.cli import EXIT_ERROR, EXIT_OK, EXIT_PARTIAL, THREADS_ENV, main
 
 
 def write_quadratic_inputs(tmp_path, n=60, seed=1):
@@ -194,6 +197,26 @@ class TestExplain:
         assert lines[0] == "x"
         assert len(lines) == 31  # header + B successful replicates
 
+    def test_closes_every_file_it_opens(self, tmp_path, monkeypatch):
+        # a file left open warns when it is garbage-collected, outside any
+        # frame, so the error the warning turns into reaches unraisablehook
+        data, schema = write_mixed_inputs(tmp_path)
+        unclosed = []
+        monkeypatch.setattr(sys, "unraisablehook", lambda u: unclosed.append(u.exc_value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            for argv in (
+                ["explain", "--query", "0", "--dump-scores", str(tmp_path / "d.csv")],
+                ["summarize", "--queries", data, "--threads", "1"],
+            ):
+                code = main(argv + [
+                    "--data", data, "--schema", schema, "--k", "1", "--m", "45",
+                    "--B", "20", "--out", str(tmp_path / "out"),
+                ])
+                gc.collect()
+                assert code == EXIT_OK
+        assert unclosed == []
+
     def test_missing_file_gives_json_error(self, tmp_path, capsys):
         _, schema = write_quadratic_inputs(tmp_path)
         code = main([
@@ -290,6 +313,36 @@ class TestSummarize:
             ])
             payloads.append(out.read_bytes())
         assert payloads[0] == payloads[1]
+
+
+class TestThreadsEnvironment:
+    def test_bad_value_is_a_json_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(THREADS_ENV, "abc")
+        code = main([
+            "sweep", "--k-list", "1", "--m-list", "24", "--c-list", "0.5",
+            "--n", "300", "--p", "1", "--B", "16",
+            "--sweep-out", str(tmp_path / "s.csv"), "--frontier-out", str(tmp_path / "f.csv"),
+        ])
+        assert code == EXIT_ERROR
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValueError"
+        assert THREADS_ENV in err["error"]["message"]
+
+    def test_ignored_by_commands_without_threads_and_by_an_explicit_flag(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(THREADS_ENV, "abc")
+        code = main([
+            "simulate", "--n", "50", "--seed", "1",
+            "--data-out", str(tmp_path / "d.csv"), "--schema-out", str(tmp_path / "s.json"),
+        ])
+        assert code == EXIT_OK
+        code = main([
+            "sweep", "--k-list", "1", "--m-list", "24", "--c-list", "0.5",
+            "--n", "300", "--p", "1", "--B", "16", "--threads", "1",
+            "--sweep-out", str(tmp_path / "s.csv"), "--frontier-out", str(tmp_path / "f.csv"),
+        ])
+        assert code == EXIT_OK
 
 
 class TestSweepCommand:

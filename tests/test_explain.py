@@ -12,7 +12,6 @@ from localexplain.explain import (
     ExplainError,
     build_problem,
     explain,
-    naive_interval,
 )
 from localexplain.neighborhood import QueryPoint
 
@@ -246,21 +245,6 @@ class TestNaiveInterval:
         with pytest.raises(ExplainError):
             problem.naive_interval("color")
 
-    def test_m_minus_q_denominator_switch(self):
-        rng = np.random.default_rng(58)
-        ds = linear_dataset(rng, 100, 1.0, [2.0], noise=0.5)
-        q = QueryPoint.from_mapping(ds.schema, {"x1": 0.0})
-        verbatim = build_problem(
-            ds, q, ExplainConfig(degree=3, m=100, kind="gradient")
-        ).naive_interval("x1")
-        residual = build_problem(
-            ds, q, ExplainConfig(degree=3, m=100, kind="gradient", naive_dof="m-q")
-        ).naive_interval("x1")
-        # d = 1 so verbatim dof = 98 vs q = 4 -> dof = 96: slightly wider se
-        assert residual.standard_error > verbatim.standard_error
-        ratio = (residual.standard_error / verbatim.standard_error) ** 2
-        assert ratio == pytest.approx(98 / 96, rel=1e-9)
-
     @pytest.mark.parametrize("seed, row", [(1, 0), (4, 2)])
     def test_collinear_features_use_pseudo_inverse(self, seed, row):
         # x2 is x1 up to 1e-15 noise: X'X is singular to working precision,
@@ -305,6 +289,48 @@ class TestNaiveInterval:
             mean_widths.append(np.mean(widths))
         slope = np.polyfit(np.log(ms), np.log(mean_widths), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.1)
+
+
+class TestScoreMatrices:
+    @pytest.mark.parametrize("case", ["gradient", "log_odds", "pairs"])
+    def test_batch_equals_row_by_row(self, case):
+        rng = np.random.default_rng(62)
+        if case == "log_odds":
+            ds = TestLogOddsPipeline().make_probability_dataset(rng)
+            q = QueryPoint.from_mapping(ds.schema, {"x1": 0.25})
+            cfg = ExplainConfig(degree=2, m=80, kind="function_difference")
+        else:
+            ds = mixed_dataset(rng)
+            q = QueryPoint.from_mapping(ds.schema, {"x1": 0.3, "x2": -0.2, "color": "b"})
+            mode = "pairs" if case == "pairs" else "query"
+            cfg = ExplainConfig(degree=2, m=90, kind="gradient", categorical_mode=mode)
+        problem = build_problem(ds, q, cfg)
+        beta = problem.surrogate().coefficients + rng.normal(0.0, 0.2, size=(25, problem.basis.q))
+        batch = problem.scores_from_coefficients(beta)
+        rows = np.array([problem.scores_from_coefficients(b) for b in beta])
+        assert batch.shape == (25, len(problem.score_names))
+        # matrix-matrix and matrix-vector products may sum in different orders
+        np.testing.assert_allclose(batch, rows, rtol=1e-12, atol=1e-12 * np.abs(rows).max())
+        if case == "pairs":
+            assert problem.score_names == ("x1", "x2", "color=b", "color=c")
+
+
+class TestStandardizeOncePerDataset:
+    def test_two_problems_standardize_once(self, monkeypatch):
+        from localexplain import data
+
+        calls = []
+        original = data.standardize
+
+        def counting(dataset):
+            calls.append(dataset)
+            return original(dataset)
+
+        monkeypatch.setattr(data, "standardize", counting)
+        ds = mixed_dataset(np.random.default_rng(63))
+        for row in (0, 1):
+            build_problem(ds, QueryPoint.from_row(ds, row), ExplainConfig(degree=1, m=60))
+        assert calls == [ds]
 
 
 class TestFailureModes:
