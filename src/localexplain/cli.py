@@ -332,11 +332,9 @@ def cmd_summarize(args) -> int:
 def cmd_simulate(args) -> int:
     dataset = generate_dataset(args.n, args.seed)
     manifest = _manifest("simulate", {"n": args.n, "seed": args.seed}, {})
-    write_dataset_csv(dataset, args.data_out)
-    with open(args.data_out, "r", encoding="utf-8") as fh:
-        body = fh.read()
-    with open(args.data_out, "w", encoding="utf-8") as fh:
-        fh.write(f"# {manifest.comment_line()}\n" + body)
+    with open(args.data_out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# {manifest.comment_line()}\n")
+        write_dataset_csv(dataset, fh)
     with open(args.schema_out, "w", encoding="utf-8") as fh:
         fh.write(dataset.schema.to_json() + "\n")
     return EXIT_OK

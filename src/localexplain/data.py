@@ -401,22 +401,24 @@ def load_dataset(
             stream.close()
 
 
-def write_dataset_csv(dataset: QueryDataset, path: str, output_column: str = "f") -> None:
-    """Write a dataset back out in the CSV layout accepted by load_dataset."""
+def write_dataset_csv(dataset: QueryDataset, stream: IO, output_column: str = "f") -> None:
+    """Write a dataset to a text stream in the CSV layout accepted by load_dataset.
+
+    Rows end in a bare LF; open a file stream with ``newline=""`` to keep it.
+    """
     schema = dataset.schema
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*schema.names, output_column])
-        for i in range(dataset.n):
-            row = []
-            for spec in schema.features:
-                if spec.is_numeric:
-                    row.append(repr(float(dataset.numeric[i, schema.numeric_index(spec.name)])))
-                else:
-                    code = int(dataset.codes[i, schema.categorical_index(spec.name)])
-                    row.append(spec.categories[code])
-            row.append(repr(float(dataset.outputs[i])))
-            writer.writerow(row)
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow([*schema.names, output_column])
+    for i in range(dataset.n):
+        row = []
+        for spec in schema.features:
+            if spec.is_numeric:
+                row.append(repr(float(dataset.numeric[i, schema.numeric_index(spec.name)])))
+            else:
+                code = int(dataset.codes[i, schema.categorical_index(spec.name)])
+                row.append(spec.categories[code])
+        row.append(repr(float(dataset.outputs[i])))
+        writer.writerow(row)
 
 
 # ---------------------------------------------------------------------------

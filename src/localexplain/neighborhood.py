@@ -124,7 +124,7 @@ def select_neighborhood(
         raise DataError(f"neighborhood size m={m} exceeds dataset size n={n}")
     diffs = dataset.numeric - query.numeric
     distances = np.sqrt(np.einsum("ij,ij->i", diffs, diffs)) if diffs.shape[1] else np.zeros(n)
-    order = np.lexsort((np.arange(n), distances))
+    order = np.argsort(distances, kind="stable")
 
     constrained: list[tuple[str, int, int, int]] = []  # (name, cat col, base code, query code)
     if balance:
@@ -141,9 +141,9 @@ def select_neighborhood(
 
     quota = math.ceil(m / 2)
     counts = np.zeros((len(constrained), 2), dtype=int)  # [:, 0] baseline, [:, 1] query class
-    selected: list[int] = []
+    selected: list[int] = []  # positions in ``order``, so ascending distance
     skipped: list[int] = []
-    for idx in order:
+    for pos, idx in enumerate(order):
         if len(selected) == m:
             break
         ok = True
@@ -167,11 +167,11 @@ def select_neighborhood(
                     ok = False
                     break
         if ok:
-            selected.append(int(idx))
+            selected.append(pos)
             for ci, side in marks:
                 counts[ci, side] += 1
         else:
-            skipped.append(int(idx))
+            skipped.append(pos)
 
     fallback_used = False
     if len(selected) < m:
@@ -188,14 +188,9 @@ def select_neighborhood(
                         )
             raise BalanceError(constrained[0][0], "?", len(selected), m)
         fallback_used = True
-        for idx in skipped:
-            selected.append(idx)
-            if len(selected) == m:
-                break
-        kept = set(selected)
-        selected = [int(i) for i in order if i in kept][:m]  # restore distance order
+        selected = sorted(selected + skipped[: m - len(selected)])
 
-    chosen = np.asarray(selected)
+    chosen = order[selected]
     return Neighborhood(
         member_indices=chosen, distances=distances[chosen], balance_fallback_used=fallback_used
     )

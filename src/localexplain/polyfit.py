@@ -48,8 +48,6 @@ class MonomialBasis:
     """
 
     exponents: np.ndarray
-    binary_mask: np.ndarray
-    degree: int
 
     @property
     def q(self) -> int:
@@ -66,21 +64,13 @@ class MonomialBasis:
             raise FitError(
                 f"rows have {rows.shape[1]} columns, basis expects {self.num_columns}"
             )
-        n = rows.shape[0]
-        # powers[c][e] = column c raised to e, shared across terms
-        max_exp = self.exponents.max(axis=0) if self.q else np.zeros(0, dtype=int)
-        powers = []
-        for c in range(self.num_columns):
-            col = rows[:, c]
-            pows = [np.ones(n)]
-            for _ in range(int(max_exp[c])):
-                pows.append(pows[-1] * col)
-            powers.append(pows)
-        out = np.ones((n, self.q))
-        for t, term in enumerate(self.exponents):
-            for c, e in enumerate(term):
-                if e:
-                    out[:, t] *= powers[c][e]
+        # powers by repeated multiplication, factors in column order (x**0 is an exact 1.0)
+        out = np.ones((rows.shape[0], self.q))
+        for c, top in enumerate(self.exponents.max(axis=0, initial=0)):
+            powers = [np.ones(rows.shape[0])]
+            for _ in range(top):
+                powers.append(powers[-1] * rows[:, c])
+            out *= np.column_stack(powers)[:, self.exponents[:, c]]
         return out
 
     def basis_row(self, point: np.ndarray) -> np.ndarray:
@@ -91,24 +81,14 @@ class MonomialBasis:
         """Loading vector v with d/dx_column (beta . phi) = beta . v.
 
         Entry t is ``e * x_column**(e-1) * (other factors)`` for terms that
-        contain the column, 0 otherwise.
+        contain the column (the basis with that exponent lowered), 0 otherwise.
         """
-        point = np.asarray(point, dtype=float).reshape(-1)
-        if point.shape[0] != self.num_columns:
-            raise FitError("point dimension does not match basis")
         if not 0 <= column < self.num_columns:
             raise FitError(f"column {column} out of range")
-        v = np.zeros(self.q)
-        for t, term in enumerate(self.exponents):
-            e = int(term[column])
-            if e == 0:
-                continue
-            val = e * point[column] ** (e - 1)
-            for c, ec in enumerate(term):
-                if c != column and ec:
-                    val *= point[c] ** int(ec)
-            v[t] = val
-        return v
+        e = self.exponents[:, column]
+        lowered = self.exponents.copy()
+        lowered[:, column] = np.maximum(e - 1, 0)
+        return np.where(e > 0, e * MonomialBasis(lowered).basis_row(point), 0.0)
 
 
 def expand_basis(
@@ -117,8 +97,9 @@ def expand_basis(
     """All multi-indices of total degree <= ``degree`` with interaction terms.
 
     ``binary_mask`` marks indicator columns whose exponents are capped at 1
-    (duplicates from b^e = b are dropped).  Terms come out in graded-lex
-    order: by total degree, then earlier columns carry higher powers first.
+    (b^e = b would duplicate b).  ``combinations_with_replacement`` yields
+    the terms in graded-lex order: by total degree, then earlier columns
+    carry higher powers first.
     """
     if degree < 1:
         raise FitError("polynomial degree must be >= 1")
@@ -127,22 +108,17 @@ def expand_basis(
     binary_mask = np.asarray(binary_mask, dtype=bool)
     if binary_mask.shape != (num_columns,):
         raise FitError("binary_mask length must equal num_columns")
-    seen: set[tuple[int, ...]] = set()
-    terms: list[tuple[int, ...]] = []
+    binary = np.flatnonzero(binary_mask).tolist()
+    terms: list[list[int]] = []
     for total in range(degree + 1):
         for combo in combinations_with_replacement(range(num_columns), total):
             exp = [0] * num_columns
             for c in combo:
                 exp[c] += 1
-            capped = tuple(min(e, 1) if binary_mask[c] else e for c, e in enumerate(exp))
-            if capped != tuple(exp):
-                continue  # a capped duplicate of a lower-degree term
-            if capped not in seen:
-                seen.add(capped)
-                terms.append(capped)
-    terms.sort(key=lambda e: (sum(e), tuple(-x for x in e)))
+            if all(exp[c] <= 1 for c in binary):
+                terms.append(exp)
     exponents = np.array(terms, dtype=np.int64).reshape(len(terms), num_columns)
-    return MonomialBasis(exponents=exponents, binary_mask=binary_mask, degree=degree)
+    return MonomialBasis(exponents=exponents)
 
 
 @dataclass(frozen=True)
@@ -157,8 +133,6 @@ class FitDiagnostics:
     rss: float
     effective_rank: int
     condition: float
-    n_rows: int
-    n_terms: int
 
     @property
     def ill_conditioned(self) -> bool:
@@ -171,7 +145,6 @@ class PolynomialSurrogate:
 
     basis: MonomialBasis
     coefficients: np.ndarray
-    degree: int
     diagnostics: FitDiagnostics
 
     def evaluate(self, point: np.ndarray) -> float:
@@ -253,12 +226,8 @@ def solve_system(Xw: np.ndarray, yw: np.ndarray, basis: MonomialBasis) -> Polyno
         rss=float(residuals @ residuals),
         effective_rank=rank,
         condition=condition,
-        n_rows=Xw.shape[0],
-        n_terms=basis.q,
     )
-    return PolynomialSurrogate(
-        basis=basis, coefficients=coef, degree=basis.degree, diagnostics=diagnostics
-    )
+    return PolynomialSurrogate(basis=basis, coefficients=coef, diagnostics=diagnostics)
 
 
 def fit(

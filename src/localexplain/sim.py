@@ -130,7 +130,9 @@ class SweepGrid:
     """The (k, m, c) grid plus the Monte Carlo scale of a coverage sweep.
 
     ``coverage_feature`` selects which continuous feature's derivative the
-    intervals are checked against (x1 by default).
+    intervals are checked against (x1 by default).  Every k, m, c, B and
+    alpha must pass :class:`ExplainConfig`'s and :class:`BootstrapConfig`'s
+    checks (their errors propagate), and every m must be at most n.
     """
 
     k_values: tuple[int, ...]
@@ -150,9 +152,13 @@ class SweepGrid:
             raise ValueError("query point count p must be >= 1")
         if self.coverage_feature not in ("x1", "x2"):
             raise ValueError("coverage_feature must be 'x1' or 'x2'")
+        for k in self.k_values:
+            for m in self.m_values:
+                ExplainConfig(degree=k, m=m)
+        if max(self.m_values) > self.n:
+            raise ValueError(f"neighborhood size m={max(self.m_values)} exceeds n={self.n}")
         for c in self.c_values:
-            if not 0.0 < c < 1.0:
-                raise ValueError(f"c value {c} outside (0, 1)")
+            BootstrapConfig(B=self.B, c=c, alpha=self.alpha)
             if int(np.floor(c * min(self.m_values))) < 2:
                 raise ValueError(f"floor(c*m) < 2 for c={c}, m={min(self.m_values)}")
 
@@ -206,35 +212,28 @@ def run_sweep(grid: SweepGrid, threads: int = 1) -> list[SweepRecord]:
     points, truths = sample_query_points(grid)
     n_k, n_c = len(grid.k_values), len(grid.c_values)
 
-    def run_unit(unit: tuple[int, int]) -> dict:
+    def run_unit(unit: tuple[int, int]) -> np.ndarray:
+        """(width, covered) per k and per c, the naive interval last; NaN marks a failure."""
         mi, pj = unit
-        m = grid.m_values[mi]
-        point = points[pj]
-        truth = float(truths[pj])
-        out: dict[tuple, tuple[float, bool] | None] = {}
+        point, truth = points[pj], float(truths[pj])
+        out = np.full((n_k, n_c + 1, 2), np.nan)
         for ki, k in enumerate(grid.k_values):
-            problem = None
             try:
                 problem = build_problem(
                     dataset,
                     point,
                     ExplainConfig(
-                        degree=k, m=m, kind=GRADIENT, weighted=True,
+                        degree=k, m=grid.m_values[mi], kind=GRADIENT, weighted=True,
                         balance=True, balance_fallback=True,
                     ),
                 )
             except _POINT_ERRORS:
-                problem = None
-            if problem is None:
-                out[(ki, "naive")] = None
-                for ci in range(n_c):
-                    out[(ki, ci)] = None
                 continue
             try:
                 iv = problem.naive_interval(grid.coverage_feature, grid.alpha)
-                out[(ki, "naive")] = (iv.upper - iv.lower, iv.lower <= truth <= iv.upper)
+                out[ki, n_c] = (iv.upper - iv.lower, iv.lower <= truth <= iv.upper)
             except _POINT_ERRORS:
-                out[(ki, "naive")] = None
+                pass
             for ci, c in enumerate(grid.c_values):
                 seed = _unit_seed(grid.seed, 2, ki, mi, ci, pj)
                 try:
@@ -243,9 +242,9 @@ def run_sweep(grid: SweepGrid, threads: int = 1) -> list[SweepRecord]:
                         BootstrapConfig(B=grid.B, c=c, alpha=grid.alpha, seed=seed),
                     )
                     iv = next(i for i in intervals if i.feature == grid.coverage_feature)
-                    out[(ki, ci)] = (iv.upper - iv.lower, iv.lower <= truth <= iv.upper)
+                    out[ki, ci] = (iv.upper - iv.lower, iv.lower <= truth <= iv.upper)
                 except _POINT_ERRORS:
-                    out[(ki, ci)] = None
+                    pass
         return out
 
     units = [(mi, pj) for mi in range(len(grid.m_values)) for pj in range(grid.p)]
@@ -255,30 +254,24 @@ def run_sweep(grid: SweepGrid, threads: int = 1) -> list[SweepRecord]:
     else:
         unit_results = [run_unit(u) for u in units]
 
-    by_unit = dict(zip(units, unit_results))
+    # (m, point, k, c column, width/covered)
+    results = np.stack(unit_results).reshape(len(grid.m_values), grid.p, n_k, n_c + 1, 2)
     records: list[SweepRecord] = []
     for ki, k in enumerate(grid.k_values):
         for mi, m in enumerate(grid.m_values):
-            per_point = [by_unit[(mi, pj)] for pj in range(grid.p)]
-            for method, keys in [
-                ("bootstrap", [(ki, ci) for ci in range(n_c)]),
-                ("naive", [(ki, "naive")] * n_c),
-            ]:
-                for ci, key in enumerate(keys):
-                    c = grid.c_values[ci]
-                    results = [pp[key] for pp in per_point]
-                    ok = [r for r in results if r is not None]
-                    covered = sum(1 for r in ok if r[1])
-                    widths = [r[0] for r in ok]
+            for ci, c in enumerate(grid.c_values):
+                for method, col in (("bootstrap", ci), ("naive", n_c)):
+                    width, covered = results[mi, :, ki, col].T
+                    ok = ~np.isnan(covered)
                     records.append(
                         SweepRecord(
                             method=method,
                             k=k,
                             m=m,
                             c=c,
-                            avg_width=float(np.mean(widths)) if widths else float("nan"),
-                            coverage=covered / grid.p,
-                            failed_points=grid.p - len(ok),
+                            avg_width=float(np.mean(width[ok])) if ok.any() else float("nan"),
+                            coverage=int(covered[ok].sum()) / grid.p,
+                            failed_points=grid.p - int(ok.sum()),
                             points=grid.p,
                         )
                     )

@@ -375,12 +375,21 @@ class TestSweepCommand:
         text = frontier_out.read_text()
         assert "external" in text
 
-    def test_invalid_grid_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("override", [
+        {"--c-list": "0.1"},
+        {"--k-list": "0"},
+        {"--B": "1"},
+        {"--m-list": "500", "--n": "300"},
+        {"--alpha": "1.5"},
+    ], ids=["c", "k", "B", "m_over_n", "alpha"])
+    def test_invalid_grid_rejected(self, tmp_path, capsys, override):
+        flags = {"--k-list": "1", "--m-list": "8", "--c-list": "0.5", "--n": "100",
+                 "--p": "1", "--B": "8", "--threads": "1", **override}
         code = main([
-            "sweep", "--k-list", "1", "--m-list", "8", "--c-list", "0.1",
-            "--n", "100", "--p", "1", "--B", "8", "--threads", "1",
+            "sweep", *[part for item in flags.items() for part in item],
             "--sweep-out", str(tmp_path / "s.csv"),
             "--frontier-out", str(tmp_path / "f.csv"),
         ])
         assert code == EXIT_ERROR
-        assert "error" in capsys.readouterr().err
+        assert "error" in json.loads(capsys.readouterr().err)
+        assert not (tmp_path / "s.csv").exists()

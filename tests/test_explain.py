@@ -358,5 +358,4 @@ class TestFailureModes:
         _, surrogate = explain(ds, q, ExplainConfig(degree=1, m=50))
         diag = surrogate.diagnostics
         assert diag.effective_rank == 2
-        assert diag.n_rows == 50
         assert np.isfinite(diag.condition)

@@ -103,7 +103,9 @@ class TestSelection:
         assert nb.balance_fallback_used
         assert nb.m == 4
         # caps admit base rows 1,2 and the sole qc row; nearest skipped base row fills slot 4
-        np.testing.assert_allclose(sorted(nb.distances.tolist()), [1.0, 2.0, 3.0, 5.0])
+        np.testing.assert_array_equal(nb.member_indices, [0, 1, 2, 4])
+        np.testing.assert_allclose(nb.distances, [1.0, 2.0, 3.0, 5.0])
+        assert (np.diff(nb.distances) >= 0).all()
 
 
 class TestWeights:

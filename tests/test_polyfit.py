@@ -1,5 +1,7 @@
 """Basis expansion, least-squares fitting, and analytic derivatives."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -53,6 +55,52 @@ class TestExpandBasis:
     def test_degree_zero_rejected(self):
         with pytest.raises(FitError):
             expand_basis(2, 0)
+
+    def test_matches_bruteforce_enumeration(self):
+        # every exponent vector, capped on indicator columns, sorted graded-lex
+        rng = np.random.default_rng(25)
+        for _ in range(40):
+            d, k = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+            binary = rng.random(d) < 0.4
+            terms = [
+                e for e in product(range(k + 1), repeat=d)
+                if sum(e) <= k and all(x <= 1 for x, b in zip(e, binary) if b)
+            ]
+            terms.sort(key=lambda e: (sum(e), tuple(-x for x in e)))
+            basis = expand_basis(d, k, binary)
+            assert [tuple(t) for t in basis.exponents] == terms
+
+
+class TestDesignMatrix:
+    def test_bit_identical_to_per_term_product(self):
+        # per term, multiply the repeated-multiplication powers in column order
+        rng = np.random.default_rng(26)
+        for _ in range(60):
+            d, k = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+            binary = rng.random(d) < 0.4
+            basis = expand_basis(d, k, binary)
+            rows = rng.uniform(-3, 3, size=(int(rng.integers(1, 71)), d))
+            rows[:, binary] = rng.integers(0, 2, size=(rows.shape[0], int(binary.sum())))
+            powers = [[np.ones(len(rows))] for _ in range(d)]
+            for c in range(d):
+                for _ in range(k):
+                    powers[c].append(powers[c][-1] * rows[:, c])
+            oracle = np.ones((len(rows), basis.q))
+            for t, term in enumerate(basis.exponents):
+                for c, e in enumerate(term):
+                    if e:
+                        oracle[:, t] *= powers[c][e]
+            assert np.array_equal(basis.design_matrix(rows), oracle)
+
+    def test_wrong_width_rejected(self):
+        basis = expand_basis(2, 2)
+        with pytest.raises(FitError):
+            basis.design_matrix(np.zeros((3, 3)))
+        with pytest.raises(FitError):
+            basis.derivative_row(np.zeros(3), 0)
+        for column in (-1, 2):
+            with pytest.raises(FitError):
+                basis.derivative_row(np.zeros(2), column)
 
 
 class TestFit:
@@ -137,8 +185,7 @@ class TestEvaluate:
     def test_zero_polynomial(self):
         basis = expand_basis(2, 2)
         from localexplain.polyfit import PolynomialSurrogate, FitDiagnostics
-        s = PolynomialSurrogate(basis, np.zeros(basis.q), 2,
-                                FitDiagnostics(0.0, basis.q, 1.0, basis.q, basis.q))
+        s = PolynomialSurrogate(basis, np.zeros(basis.q), FitDiagnostics(0.0, basis.q, 1.0))
         assert s.evaluate(np.array([0.7, -2.0])) == 0.0
 
     def test_line_value(self):
@@ -200,6 +247,9 @@ class TestDerivatives:
         basis = expand_basis(2, 1)  # {1, x1, x2}; x2 never interacts with x1 terms
         v_mixed = basis.derivative_row(np.array([0.3, 0.4]), 1)
         np.testing.assert_allclose(v_mixed, [0.0, 0.0, 1.0])
+        # terms without the column are +0.0, also where their other factors are negative
+        v = expand_basis(2, 2).derivative_row(np.array([-0.3, 0.4]), 1)
+        assert not np.signbit(v[[0, 1, 3]]).any() and (v[[0, 1, 3]] == 0).all()
 
     def test_derivative_equals_coefficients_dot_loading(self):
         rng = np.random.default_rng(32)
