@@ -26,7 +26,6 @@ from .data import (
     FeatureSpec,
     QueryDataset,
     StandardizationStats,
-    encode_one_hot,
     from_log_odds,
     load_dataset,
     standardize,
@@ -94,7 +93,6 @@ __all__ = [
     "bootstrap_intervals",
     "build_problem",
     "compute_weights",
-    "encode_one_hot",
     "expand_basis",
     "explain",
     "fit",

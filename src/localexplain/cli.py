@@ -154,6 +154,17 @@ def _explain_config(args, deltas) -> ExplainConfig:
     )
 
 
+def _explain_parameters(args, deltas) -> dict:
+    """The manifest parameters that ``explain`` and ``summarize`` share."""
+    return {
+        "k": args.k, "m": args.m, "c": args.c, "B": args.B, "alpha": args.alpha,
+        "seed": args.seed, "weighted": args.weighted, "kind": args.kind,
+        "balance": args.balance, "balance_fallback": args.balance_fallback,
+        "deltas": deltas, "output_column": args.output_column,
+        "standardized_units": args.standardized_units,
+    }
+
+
 def _interval_payload(interval) -> dict:
     return {"lower": interval.lower, "upper": interval.upper, "alpha": interval.alpha}
 
@@ -227,14 +238,7 @@ def cmd_explain(args) -> int:
     report["query"] = query.as_mapping(dataset.schema)
     manifest = _manifest(
         "explain",
-        {
-            "k": args.k, "m": args.m, "c": args.c, "B": args.B, "alpha": args.alpha,
-            "seed": args.seed, "weighted": args.weighted, "kind": args.kind,
-            "balance": args.balance, "balance_fallback": args.balance_fallback,
-            "deltas": deltas, "naive_ci": args.naive_ci, "query": args.query,
-            "output_column": args.output_column,
-            "standardized_units": args.standardized_units,
-        },
+        {**_explain_parameters(args, deltas), "naive_ci": args.naive_ci, "query": args.query},
         {"data": args.data, "schema": args.schema},
     )
     report["manifest"] = manifest.as_dict()
@@ -303,13 +307,7 @@ def cmd_summarize(args) -> int:
     total = len(rows)
     manifest = _manifest(
         "summarize",
-        {
-            "k": args.k, "m": args.m, "c": args.c, "B": args.B, "alpha": args.alpha,
-            "seed": args.seed, "weighted": args.weighted, "kind": args.kind,
-            "balance": args.balance, "balance_fallback": args.balance_fallback,
-            "deltas": deltas, "output_column": args.output_column,
-            "standardized_units": args.standardized_units,
-        },
+        _explain_parameters(args, deltas),
         {"data": args.data, "schema": args.schema, "queries": args.queries},
     )
     lines = [f"# {manifest.comment_line()}"]

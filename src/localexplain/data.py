@@ -17,7 +17,8 @@ import csv
 import functools
 import io
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import IO, Iterable, Mapping
 
 import numpy as np
@@ -140,18 +141,46 @@ class FeatureSchema:
                 return f
         raise DataError(f"unknown feature {name!r}")
 
-    def numeric_index(self, name: str) -> int:
-        """Position of ``name`` within the numeric feature block."""
-        for i, f in enumerate(self.numeric_features):
-            if f.name == name:
-                return i
-        raise DataError(f"{name!r} is not a numeric feature")
+    # -- row codec --------------------------------------------------------
 
-    def categorical_index(self, name: str) -> int:
-        for i, f in enumerate(self.categorical_features):
-            if f.name == name:
-                return i
-        raise DataError(f"{name!r} is not a categorical feature")
+    def decode_row(self, numeric: np.ndarray, codes: np.ndarray) -> dict[str, float | str]:
+        """One (numeric block, category codes) row as a name -> value mapping.
+
+        Keys follow schema order; numeric features map to floats and
+        categorical features to their category labels.
+        """
+        numeric_values = iter(np.asarray(numeric, dtype=float).tolist())
+        code_values = iter(np.asarray(codes).tolist())
+        return {
+            spec.name: spec.categories[next(code_values)] if spec.is_categorical else next(numeric_values)
+            for spec in self.features
+        }
+
+    def encode_row(self, values: Mapping[str, float | str]) -> tuple[np.ndarray, np.ndarray]:
+        """Parse a name -> value mapping into its (numeric block, category codes) row.
+
+        The inverse of :meth:`decode_row`.  Numeric values must convert to
+        finite floats; categorical values are matched as labels (``str(value)``).
+        """
+        for name in self.names:
+            if name not in values:
+                raise DataError(f"query is missing feature {name!r}")
+        numeric = np.zeros(len(self.numeric_features))
+        for j, spec in enumerate(self.numeric_features):
+            value = values[spec.name]
+            try:
+                numeric[j] = float(value)  # type: ignore[arg-type]
+            except (TypeError, ValueError):
+                raise DataError(f"non-numeric query value {value!r}", column=spec.name) from None
+            if not math.isfinite(numeric[j]):
+                raise DataError("query value is not finite", column=spec.name)
+        codes = np.zeros(len(self.categorical_features), dtype=np.int64)
+        for j, spec in enumerate(self.categorical_features):
+            label = str(values[spec.name])
+            if label not in spec.categories:
+                raise DataError(f"unknown category {label!r}", column=spec.name)
+            codes[j] = spec.categories.index(label)
+        return numeric, codes
 
     # -- serialization ----------------------------------------------------
 
@@ -222,6 +251,10 @@ class QueryDataset:
     feature's declared category tuple.  Instances are safe to share across
     threads; no method mutates them, and the one cached value,
     :attr:`standardized`, is computed on first use.
+
+    The constructor is the one place where values are checked (finite
+    numbers, valid codes, probabilities in [0, 1]); each error names the
+    offending value, its 1-based row and, where there is one, the feature.
     """
 
     def __init__(
@@ -241,17 +274,24 @@ class QueryDataset:
         codes = (
             np.asarray(codes, dtype=np.int64).reshape(n, n_cat) if n_cat else np.zeros((n, 0), dtype=np.int64)
         )
-        if n_num and not np.all(np.isfinite(numeric)):
-            raise DataError("numeric features contain non-finite values")
-        if not np.all(np.isfinite(outputs)):
-            raise DataError("outputs contain non-finite values")
+        finite = np.isfinite(numeric)
+        if not finite.all():
+            r, j = np.argwhere(~finite)[0]
+            name = schema.numeric_features[j].name
+            raise DataError(f"non-finite value {float(numeric[r, j])!r}", row=int(r) + 1, column=name)
+        if not np.isfinite(outputs).all():
+            r = int(np.argmax(~np.isfinite(outputs)))
+            raise DataError(f"non-finite output {float(outputs[r])!r}", row=r + 1)
         for j, spec in enumerate(schema.categorical_features):
-            col = codes[:, j]
-            if (col < 0).any() or (col >= len(spec.categories)).any():
-                raise DataError(f"invalid category code for feature {spec.name!r}")
-        if schema.output_kind == "probability" and ((outputs < 0).any() or (outputs > 1).any()):
-            bad = int(np.argmax((outputs < 0) | (outputs > 1)))
-            raise DataError("probability output outside [0, 1]", row=bad + 1)
+            invalid = (codes[:, j] < 0) | (codes[:, j] >= len(spec.categories))
+            if invalid.any():
+                r = int(np.argmax(invalid))
+                raise DataError(f"invalid category code {int(codes[r, j])}", row=r + 1, column=spec.name)
+        if schema.output_kind == "probability":
+            outside = (outputs < 0) | (outputs > 1)
+            if outside.any():
+                r = int(np.argmax(outside))
+                raise DataError(f"probability output {float(outputs[r])!r} outside [0, 1]", row=r + 1)
         schema = _resolve_baselines(schema, codes)
         self.schema = schema
         self.numeric = numeric
@@ -264,18 +304,15 @@ class QueryDataset:
     def n(self) -> int:
         return self.outputs.shape[0]
 
-    def row_mapping(self, i: int) -> dict[str, float | str]:
-        """Row ``i`` as a feature-name -> value mapping (labels for categoricals)."""
+    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row ``i`` as its (numeric block, category codes) pair (read-only views)."""
         if not 0 <= i < self.n:
             raise DataError(f"row index {i} out of range for dataset of {self.n} rows")
-        out: dict[str, float | str] = {}
-        for spec in self.schema.features:
-            if spec.is_numeric:
-                out[spec.name] = float(self.numeric[i, self.schema.numeric_index(spec.name)])
-            else:
-                code = int(self.codes[i, self.schema.categorical_index(spec.name)])
-                out[spec.name] = spec.categories[code]
-        return out
+        return self.numeric[i], self.codes[i]
+
+    def row_mapping(self, i: int) -> dict[str, float | str]:
+        """Row ``i`` as a feature-name -> value mapping (labels for categoricals)."""
+        return self.schema.decode_row(*self.row(i))
 
     @functools.cached_property
     def standardized(self) -> tuple[QueryDataset, StandardizationStats]:
@@ -285,18 +322,15 @@ class QueryDataset:
 
 def _resolve_baselines(schema: FeatureSchema, codes: np.ndarray) -> FeatureSchema:
     """Fill in missing categorical baselines with the modal category."""
-    if all(f.baseline is not None for f in schema.categorical_features):
-        return schema
-    features = []
-    for spec in schema.features:
-        if spec.is_categorical and spec.baseline is None:
-            j = schema.categorical_index(spec.name)
+    resolved: dict[str, FeatureSpec] = {}
+    for j, spec in enumerate(schema.categorical_features):
+        if spec.baseline is None:
             counts = np.bincount(codes[:, j], minlength=len(spec.categories))
             # ties broken by declaration order via argmax
-            baseline = spec.categories[int(np.argmax(counts))]
-            spec = FeatureSpec(spec.name, spec.kind, categories=spec.categories, baseline=baseline)
-        features.append(spec)
-    return FeatureSchema(tuple(features), schema.output_kind)
+            resolved[spec.name] = replace(spec, baseline=spec.categories[int(np.argmax(counts))])
+    if not resolved:
+        return schema
+    return FeatureSchema(tuple(resolved.get(f.name, f) for f in schema.features), schema.output_kind)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +344,9 @@ def load_dataset(
     """Parse a UTF-8, comma-delimited CSV with a header row into a dataset.
 
     The header must contain one column per schema feature plus the output
-    column (``f`` by default); extra columns are ignored.  Errors name the
-    offending 1-based data row and column.
+    column (``f`` by default); extra columns are ignored.  This only parses
+    cells into numbers and category codes; :class:`QueryDataset` checks the
+    values.  Errors name the offending 1-based data row and column.
     """
     if isinstance(source, (str, bytes)):
         if isinstance(source, bytes):
@@ -381,20 +416,9 @@ def load_dataset(
                 ) from None
             numeric_rows.append(num_row)
             code_rows.append(code_row)
-        if not outputs:
-            raise DataError("CSV contains no data rows")
         n = len(outputs)
         numeric = np.array(numeric_rows, dtype=float).reshape(n, len(numeric_specs))
         codes = np.array(code_rows, dtype=np.int64).reshape(n, len(categorical_specs))
-        if schema.output_kind == "probability":
-            out_arr = np.asarray(outputs)
-            bad = (out_arr < 0) | (out_arr > 1)
-            if bad.any():
-                raise DataError(
-                    f"probability output {out_arr[bad][0]!r} outside [0, 1]",
-                    row=int(np.argmax(bad)) + 1,
-                    column=output_column,
-                )
         return QueryDataset(schema, numeric, codes, np.asarray(outputs))
     finally:
         if isinstance(source, (str, bytes)) and hasattr(stream, "close"):
@@ -410,15 +434,9 @@ def write_dataset_csv(dataset: QueryDataset, stream: IO, output_column: str = "f
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow([*schema.names, output_column])
     for i in range(dataset.n):
-        row = []
-        for spec in schema.features:
-            if spec.is_numeric:
-                row.append(repr(float(dataset.numeric[i, schema.numeric_index(spec.name)])))
-            else:
-                code = int(dataset.codes[i, schema.categorical_index(spec.name)])
-                row.append(spec.categories[code])
-        row.append(repr(float(dataset.outputs[i])))
-        writer.writerow(row)
+        values = dataset.row_mapping(i).values()
+        cells = [v if isinstance(v, str) else repr(v) for v in values]
+        writer.writerow([*cells, repr(float(dataset.outputs[i]))])
 
 
 # ---------------------------------------------------------------------------
@@ -490,19 +508,12 @@ class OneHotLayout:
         codes = np.atleast_2d(codes)
         n = max(numeric.shape[0], codes.shape[0])
         out = np.zeros((n, self.width))
-        for name, col in self.numeric_columns.items():
-            out[:, col] = numeric[:, self.schema.numeric_index(name)]
-        for name, cols in self.categorical_columns.items():
-            spec = self.schema.feature(name)
-            j = self.schema.categorical_index(name)
-            for cat, col in cols.items():
-                out[:, col] = codes[:, j] == spec.categories.index(cat)
+        out[:, list(self.numeric_columns.values())] = numeric
+        for j, spec in enumerate(self.schema.categorical_features):
+            cols = self.categorical_columns[spec.name]
+            levels = [spec.categories.index(cat) for cat in cols]
+            out[:, list(cols.values())] = codes[:, j, None] == levels
         return out
-
-
-def encode_one_hot(dataset: QueryDataset) -> np.ndarray:
-    """One-hot encode a dataset into its numeric design table (n x width)."""
-    return OneHotLayout(dataset.schema).encode(dataset.numeric, dataset.codes)
 
 
 def to_log_odds(p: np.ndarray | float) -> np.ndarray | float:

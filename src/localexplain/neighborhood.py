@@ -45,43 +45,19 @@ class QueryPoint:
 
     @classmethod
     def from_mapping(cls, schema: FeatureSchema, values: Mapping[str, float | str]) -> "QueryPoint":
-        numeric = np.zeros(len(schema.numeric_features))
-        codes = np.zeros(len(schema.categorical_features), dtype=np.int64)
-        for spec in schema.features:
-            if spec.name not in values:
-                raise DataError(f"query is missing feature {spec.name!r}")
-            value = values[spec.name]
-            if spec.is_numeric:
-                try:
-                    v = float(value)  # type: ignore[arg-type]
-                except (TypeError, ValueError):
-                    raise DataError(f"non-numeric query value {value!r}", column=spec.name) from None
-                if not math.isfinite(v):
-                    raise DataError("query value is not finite", column=spec.name)
-                numeric[schema.numeric_index(spec.name)] = v
-            else:
-                label = str(value)
-                if label not in spec.categories:
-                    raise DataError(f"unknown category {label!r}", column=spec.name)
-                codes[schema.categorical_index(spec.name)] = spec.categories.index(label)
+        numeric, codes = schema.encode_row(values)
         return cls(numeric=numeric, codes=codes)
 
     @classmethod
     def from_row(cls, dataset: QueryDataset, i: int) -> "QueryPoint":
-        return cls.from_mapping(dataset.schema, dataset.row_mapping(i))
+        numeric, codes = dataset.row(i)
+        return cls(numeric=numeric.copy(), codes=codes.copy())
 
     def standardized(self, stats: StandardizationStats) -> "QueryPoint":
         return QueryPoint(numeric=stats.transform(self.numeric), codes=self.codes)
 
     def as_mapping(self, schema: FeatureSchema) -> dict[str, float | str]:
-        out: dict[str, float | str] = {}
-        for spec in schema.features:
-            if spec.is_numeric:
-                out[spec.name] = float(self.numeric[schema.numeric_index(spec.name)])
-            else:
-                code = int(self.codes[schema.categorical_index(spec.name)])
-                out[spec.name] = spec.categories[code]
-        return out
+        return schema.decode_row(self.numeric, self.codes)
 
 
 @dataclass(frozen=True)

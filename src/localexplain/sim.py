@@ -5,10 +5,8 @@ The ground-truth model is
     S(x1, x2, a, b) = sin(a*x1) * cos(b*x2) * tan(1 / (1 + (x1 - x2)^2))
 
 with continuous x1, x2 in [-5, 5] and categorical a, b in {1, 2, 3}.  The
-tangent's argument lies in (0, 1], comfortably inside (0, pi/2), so no
-singularity guard is needed on this domain; ``generate_dataset`` still
-resamples non-finite outputs so user-supplied ground truths that do blow up
-somewhere remain usable.
+tangent's argument lies in (0, 1], comfortably inside (0, pi/2), so S is
+finite on the whole domain and needs no singularity guard.
 
 The sweep harness evaluates, over a grid of (k, m, c), how often the
 bootstrap interval and the naive closed-form interval for x1's derivative
@@ -22,7 +20,7 @@ from __future__ import annotations
 import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -87,41 +85,17 @@ def simulation_schema() -> FeatureSchema:
     )
 
 
-def generate_dataset(
-    n: int,
-    seed: int,
-    ground_truth: Callable[..., np.ndarray] = ground_truth_value,
-    max_resample_rounds: int = 100,
-) -> QueryDataset:
+def generate_dataset(n: int, seed: int) -> QueryDataset:
     """Sample n points uniformly from the domain and record S at each.
 
-    x1, x2 ~ Uniform[-5, 5]; a, b uniform over {1, 2, 3}.  Rows whose output
-    comes back non-finite are resampled (never needed for the built-in S,
-    whose tan argument stays in (0, 1]).
+    x1, x2 ~ Uniform[-5, 5]; a, b uniform over {1, 2, 3}.
     """
     if n < 1:
         raise ValueError("dataset size n must be >= 1")
     rng = np.random.default_rng(seed)
     numeric = rng.uniform(-5.0, 5.0, size=(n, 2))
     codes = rng.integers(0, 3, size=(n, 2))
-    outputs = np.asarray(
-        ground_truth(numeric[:, 0], numeric[:, 1], codes[:, 0] + 1, codes[:, 1] + 1), dtype=float
-    ).reshape(n)
-    for _ in range(max_resample_rounds):
-        bad = ~np.isfinite(outputs)
-        if not bad.any():
-            break
-        k = int(bad.sum())
-        numeric[bad] = rng.uniform(-5.0, 5.0, size=(k, 2))
-        codes[bad] = rng.integers(0, 3, size=(k, 2))
-        outputs[bad] = np.asarray(
-            ground_truth(
-                numeric[bad, 0], numeric[bad, 1], codes[bad, 0] + 1, codes[bad, 1] + 1
-            ),
-            dtype=float,
-        ).reshape(k)
-    else:
-        raise ValueError("ground truth kept producing non-finite outputs while resampling")
+    outputs = ground_truth_value(numeric[:, 0], numeric[:, 1], codes[:, 0] + 1, codes[:, 1] + 1)
     return QueryDataset(simulation_schema(), numeric, codes, outputs)
 
 

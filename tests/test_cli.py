@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 
 from localexplain.cli import EXIT_ERROR, EXIT_OK, EXIT_PARTIAL, THREADS_ENV, main
+from localexplain.data import FeatureSchema, FeatureSpec, load_dataset
+from localexplain.explain import ExplainConfig, build_problem
+from localexplain.neighborhood import QueryPoint
 
 
 def write_quadratic_inputs(tmp_path, n=60, seed=1):
@@ -174,6 +177,38 @@ class TestExplain:
         assert "naive_ci_skipped" in report["metadata"]["diagnostics"]
         for entry in report["features"]:
             assert "naive_interval" not in entry
+
+    def test_probabilities_of_exactly_zero_and_one(self, tmp_path):
+        # a saturated classifier: p is exactly 0 or 1 once |x1| > 5/6
+        rng = np.random.default_rng(4)
+        x1 = rng.uniform(-2, 2, 120)
+        x2 = rng.uniform(-2, 2, 120)
+        p = np.clip(0.5 + 0.6 * x1, 0.0, 1.0)
+        data = tmp_path / "saturated.csv"
+        rows = ["x1,x2,f"] + [f"{float(a)!r},{float(b)!r},{float(c)!r}" for a, b, c in zip(x1, x2, p)]
+        data.write_text("\n".join(rows) + "\n")
+        schema = FeatureSchema(
+            (FeatureSpec("x1", "continuous"), FeatureSpec("x2", "continuous")), "probability"
+        )
+        (tmp_path / "schema.json").write_text(schema.to_json())
+        row = int(np.argmin(np.abs(x1)))
+        dataset = load_dataset(str(data), schema)
+        problem = build_problem(dataset, QueryPoint.from_row(dataset, row), ExplainConfig(2, 80))
+        assert {0.0, 1.0} <= set(dataset.outputs[problem.neighborhood.member_indices].tolist())
+
+        out = tmp_path / "report.json"
+        code = main([
+            "explain", "--data", str(data), "--schema", str(tmp_path / "schema.json"),
+            "--query", str(row), "--k", "2", "--m", "80", "--B", "100", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["metadata"]["kind"] == "function_difference"
+        for entry in report["features"]:
+            iv = entry["bootstrap_interval"]
+            assert all(math.isfinite(v) for v in (entry["score"], iv["lower"], iv["upper"]))
+            assert -1.0 <= entry["score"] <= 1.0
+            assert -1.0 <= iv["lower"] <= iv["upper"] <= 1.0
 
     def test_compas_style_fraction(self, tmp_path):
         data, schema = write_probability_inputs(tmp_path)

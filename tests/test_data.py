@@ -13,12 +13,13 @@ from localexplain.data import (
     FeatureSpec,
     OneHotLayout,
     QueryDataset,
-    encode_one_hot,
     from_log_odds,
     load_dataset,
     standardize,
     to_log_odds,
+    write_dataset_csv,
 )
+from localexplain.neighborhood import QueryPoint
 
 
 def two_feature_schema(output_kind="raw"):
@@ -29,6 +30,22 @@ def two_feature_schema(output_kind="raw"):
         ),
         output_kind=output_kind,
     )
+
+
+def interleaved_schema(output_kind="raw"):
+    """Categorical and numeric features alternate, so block positions differ from schema positions."""
+    return FeatureSchema(
+        features=(
+            FeatureSpec(name="color", kind="categorical", categories=("a", "b", "c"), baseline="a"),
+            FeatureSpec(name="x1", kind="continuous"),
+            FeatureSpec(name="size", kind="categorical", categories=("s", "m", "l"), baseline="m"),
+            FeatureSpec(name="x2", kind="continuous"),
+        ),
+        output_kind=output_kind,
+    )
+
+
+INTERLEAVED_CSV = b"color,x1,size,x2,f\nc,1.5,s,-0.25,0.5\na,-2.0,l,3.0,0.25\nb,0.1,m,7.5,1.0\n"
 
 
 def mixed_schema():
@@ -108,8 +125,15 @@ class TestLoadDataset:
 
     def test_probability_out_of_range_rejected(self):
         csv_text = "x1,x2,f\n1,2,0.2\n3,4,1.7\n"
-        with pytest.raises(DataError):
+        with pytest.raises(DataError) as err:
             load_dataset(csv_text.encode(), two_feature_schema("probability"))
+        assert err.value.row == 2
+        assert "1.7" in str(err.value)
+
+    def test_non_finite_cell_rejected_with_row_and_column(self):
+        with pytest.raises(DataError) as err:
+            load_dataset(b"x1,x2,f\n1,2,0\n3,nan,1\n", two_feature_schema())
+        assert (err.value.row, err.value.column) == (2, "x2")
 
     def test_missing_column(self):
         with pytest.raises(DataError, match="x2"):
@@ -179,7 +203,7 @@ class TestStandardize:
         csv_text = "x1,x2,color,f\n1,2,a,0.1\n3,4,b,0.9\n5,6,c,0.4\n"
         ds = load_dataset(csv_text.encode(), mixed_schema())
         std, _ = standardize(ds)
-        table = encode_one_hot(std)
+        table = OneHotLayout(std.schema).encode(std.numeric, std.codes)
         assert table.shape[0] == ds.n
         np.testing.assert_array_equal(std.outputs, ds.outputs)
 
@@ -202,7 +226,7 @@ class TestOneHot:
         ds = load_dataset(
             b"x1,x2,color,f\n1,2,a,0\n3,4,b,0\n5,6,c,0\n", mixed_schema()
         )
-        table = encode_one_hot(ds)
+        table = OneHotLayout(ds.schema).encode(ds.numeric, ds.codes)
         block = table[:, 2:]
         assert (block.sum(axis=1) <= 1).all()
         assert set(np.unique(block)) <= {0.0, 1.0}
@@ -242,6 +266,94 @@ class TestQueryDataset:
             QueryDataset(schema, np.zeros((2, 2)), np.zeros((2, 0), dtype=np.int64),
                          np.array([1.0, np.nan]))
 
+    @staticmethod
+    def interleaved_arrays():
+        numeric = np.array([[1.5, -0.25], [-2.0, 3.0], [0.1, 7.5]])
+        codes = np.array([[2, 0], [0, 2], [1, 1]])
+        return numeric, codes, np.array([0.5, 0.25, 1.0])
+
+    def test_non_finite_numeric_names_row_and_feature(self):
+        numeric, codes, outputs = self.interleaved_arrays()
+        numeric[2, 1] = np.nan
+        with pytest.raises(DataError, match="non-finite value nan") as err:
+            QueryDataset(interleaved_schema(), numeric, codes, outputs)
+        assert (err.value.row, err.value.column) == (3, "x2")
+
+    def test_invalid_code_names_row_and_feature(self):
+        numeric, codes, outputs = self.interleaved_arrays()
+        codes[1, 1] = 3
+        with pytest.raises(DataError, match="invalid category code 3") as err:
+            QueryDataset(interleaved_schema(), numeric, codes, outputs)
+        assert (err.value.row, err.value.column) == (2, "size")
+
+    def test_non_finite_output_names_row(self):
+        numeric, codes, outputs = self.interleaved_arrays()
+        outputs[1] = -np.inf
+        with pytest.raises(DataError, match="non-finite output -inf") as err:
+            QueryDataset(interleaved_schema(), numeric, codes, outputs)
+        assert (err.value.row, err.value.column) == (2, None)
+
+    def test_probability_out_of_range_names_row(self):
+        numeric, codes, outputs = self.interleaved_arrays()
+        outputs[2] = 1.5
+        with pytest.raises(DataError, match=r"probability output 1.5 outside \[0, 1\]") as err:
+            QueryDataset(interleaved_schema("probability"), numeric, codes, outputs)
+        assert (err.value.row, err.value.column) == (3, None)
+
     def test_row_mapping_roundtrip(self):
         ds = load_dataset(b"x1,x2,color,f\n1.5,2,c,0\n", mixed_schema())
         assert ds.row_mapping(0) == {"x1": 1.5, "x2": 2.0, "color": "c"}
+
+
+class TestInterleavedCodec:
+    """The row codec on a schema whose numeric and categorical features alternate."""
+
+    def test_mapping_roundtrip(self):
+        schema = interleaved_schema()
+        values = {"color": "c", "x1": 1.5, "size": "s", "x2": -0.25}
+        point = QueryPoint.from_mapping(schema, values)
+        np.testing.assert_array_equal(point.numeric, [1.5, -0.25])
+        np.testing.assert_array_equal(point.codes, [2, 0])
+        mapping = point.as_mapping(schema)
+        assert mapping == values
+        assert list(mapping) == list(schema.names)
+
+    def test_from_row_matches_row_mapping(self):
+        ds = load_dataset(INTERLEAVED_CSV, interleaved_schema())
+        assert ds.row_mapping(1) == {"color": "a", "x1": -2.0, "size": "l", "x2": 3.0}
+        for i in range(ds.n):
+            assert QueryPoint.from_row(ds, i).as_mapping(ds.schema) == ds.row_mapping(i)
+
+    def test_csv_roundtrip_is_exact(self):
+        rng = np.random.default_rng(8)
+        n = 25
+        ds = QueryDataset(
+            interleaved_schema(), rng.normal(size=(n, 2)), rng.integers(0, 3, size=(n, 2)),
+            rng.normal(size=n),
+        )
+        stream = io.StringIO()
+        write_dataset_csv(ds, stream)
+        assert stream.getvalue().splitlines()[0] == "color,x1,size,x2,f"
+        back = load_dataset(stream.getvalue().encode(), interleaved_schema())
+        np.testing.assert_array_equal(back.numeric, ds.numeric)
+        np.testing.assert_array_equal(back.codes, ds.codes)
+        np.testing.assert_array_equal(back.outputs, ds.outputs)
+
+    def test_one_hot_indicators_at_their_named_columns(self):
+        ds = load_dataset(INTERLEAVED_CSV, interleaved_schema())
+        layout = OneHotLayout(ds.schema)
+        assert layout.column_names == ("color=b", "color=c", "x1", "size=s", "size=l", "x2")
+        table = layout.encode(ds.numeric, ds.codes)
+        for i in range(ds.n):
+            row = ds.row_mapping(i)
+            expected = [
+                float(row[name.split("=")[0]] == name.split("=")[1]) if "=" in name else row[name]
+                for name in layout.column_names
+            ]
+            np.testing.assert_array_equal(table[i], expected)
+
+    @pytest.mark.parametrize("i", [-1, 3])
+    def test_from_row_out_of_range(self, i):
+        ds = load_dataset(INTERLEAVED_CSV, interleaved_schema())
+        with pytest.raises(DataError, match="out of range"):
+            QueryPoint.from_row(ds, i)

@@ -113,20 +113,6 @@ class TestGenerateDataset:
         ds = generate_dataset(1, seed=3)
         assert ds.n == 1 and np.isfinite(ds.outputs).all()
 
-    def test_resampling_hook_replaces_nonfinite(self):
-        calls = {"count": 0}
-
-        def sometimes_bad(x1, x2, a, b):
-            calls["count"] += 1
-            out = np.asarray(ground_truth_value(x1, x2, a, b), dtype=float).copy()
-            if calls["count"] == 1:
-                out[::2] = np.inf
-            return out
-
-        ds = generate_dataset(40, seed=5, ground_truth=sometimes_bad)
-        assert np.isfinite(ds.outputs).all()
-        assert calls["count"] >= 2
-
 
 class TestSweep:
     def small_grid(self, **overrides):
