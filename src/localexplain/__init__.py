@@ -16,7 +16,6 @@ from .bootstrap import (
     BootstrapError,
     UncertaintyInterval,
     bootstrap_from_problem,
-    bootstrap_intervals,
     intervals_from_distribution,
     percentile,
 )
@@ -38,7 +37,6 @@ from .explain import (
     LocalProblem,
     NaiveInterval,
     build_problem,
-    explain,
 )
 from .neighborhood import (
     BalanceError,
@@ -48,12 +46,10 @@ from .neighborhood import (
     select_neighborhood,
 )
 from .polyfit import (
-    FitDiagnostics,
     FitError,
     MonomialBasis,
-    PolynomialSurrogate,
+    PointFit,
     expand_basis,
-    fit,
 )
 from .sim import (
     SweepGrid,
@@ -75,14 +71,13 @@ __all__ = [
     "ExplainError",
     "FeatureSchema",
     "FeatureSpec",
-    "FitDiagnostics",
     "FitError",
     "ImportanceScore",
     "LocalProblem",
     "MonomialBasis",
     "NaiveInterval",
     "Neighborhood",
-    "PolynomialSurrogate",
+    "PointFit",
     "QueryDataset",
     "QueryPoint",
     "StandardizationStats",
@@ -90,12 +85,9 @@ __all__ = [
     "SweepRecord",
     "UncertaintyInterval",
     "bootstrap_from_problem",
-    "bootstrap_intervals",
     "build_problem",
     "compute_weights",
     "expand_basis",
-    "explain",
-    "fit",
     "from_log_odds",
     "generate_dataset",
     "ground_truth_gradient",

@@ -23,9 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import QueryDataset
-from .explain import ExplainConfig, LocalProblem, build_problem
-from .neighborhood import QueryPoint
+from .explain import LocalProblem
 
 #: A run errors out when more than this fraction of replicates fail.
 MAX_FAILED_FRACTION = 0.2
@@ -74,9 +72,6 @@ class BootstrapDistribution:
     failed_replicates: int
     B: int
     m_prime: int
-
-    def column(self, name: str) -> np.ndarray:
-        return self.scores[:, self.names.index(name)]
 
 
 def percentile(values: np.ndarray, p: float) -> float | np.ndarray:
@@ -153,17 +148,6 @@ def bootstrap_from_problem(
         names=names, scores=scores[ok], failed_replicates=failed, B=boot.B, m_prime=m_prime
     )
     return intervals_from_distribution(dist, boot.alpha), dist
-
-
-def bootstrap_intervals(
-    dataset: QueryDataset,
-    query: QueryPoint,
-    config: ExplainConfig,
-    boot: BootstrapConfig,
-) -> tuple[list[UncertaintyInterval], BootstrapDistribution]:
-    """Percentile-bootstrap intervals for every importance score at a query."""
-    problem = build_problem(dataset, query, config)
-    return bootstrap_from_problem(problem, boot)
 
 
 def write_scores_csv(dist: BootstrapDistribution, path: str) -> None:

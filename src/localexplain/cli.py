@@ -110,10 +110,11 @@ def _threads(args) -> int:
 def _parse_deltas(pairs: list[str]) -> dict[str, float]:
     out = {}
     for pair in pairs:
-        name, sep, value = pair.partition("=")
-        if not sep:
-            raise DataError(f"--delta expects name=value, got {pair!r}")
-        out[name] = float(value)
+        name, _, value = pair.partition("=")
+        try:
+            out[name] = float(value)  # no "=" leaves value empty, which float rejects
+        except ValueError:
+            raise DataError(f"--delta expects name=value with a numeric value, got {pair!r}") from None
     return out
 
 
@@ -198,14 +199,14 @@ def _report_for_problem(problem: LocalProblem, boot: BootstrapConfig, naive_ci: 
                 _interval_payload(iv), standard_error=iv.standard_error
             )
         features.append(entry)
-    diag = problem.surrogate().diagnostics
+    fit = problem.point_fit
     diagnostics = {
         "m": problem.m,
         "q": problem.basis.q,
-        "effective_rank": diag.effective_rank,
-        "condition": diag.condition,
-        "ill_conditioned": diag.ill_conditioned,
-        "rss": diag.rss,
+        "effective_rank": fit.effective_rank,
+        "condition": fit.condition,
+        "ill_conditioned": fit.ill_conditioned,
+        "rss": fit.rss,
         "failed_replicates": dist.failed_replicates,
         "balance_fallback_used": problem.neighborhood.balance_fallback_used,
     }
@@ -355,6 +356,7 @@ def cmd_sweep(args) -> int:
         seed=args.seed,
         coverage_feature=args.coverage_feature,
     )
+    baseline = read_baseline_csv(args.merge) if args.merge else []
     records = run_sweep(grid, threads=_threads(args))
     manifest = _manifest(
         "sweep",
@@ -367,9 +369,7 @@ def cmd_sweep(args) -> int:
         {"merge": args.merge},
     )
     write_sweep_csv(records, args.sweep_out, header_comment=manifest.comment_line())
-    merged = list(records)
-    if args.merge:
-        merged.extend(read_baseline_csv(args.merge))
+    merged = list(records) + baseline
     frontier = []
     for method in sorted({r.method for r in merged}):
         frontier.extend(pareto_frontier(merged, method))

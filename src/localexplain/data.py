@@ -18,8 +18,9 @@ import functools
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
-from typing import IO, Iterable, Mapping
+from typing import IO, Mapping
 
 import numpy as np
 
@@ -74,8 +75,12 @@ class FeatureSpec:
     baseline: str | None = None
 
     def __post_init__(self):
-        if not self.name:
-            raise DataError("feature name must be nonempty")
+        if not (isinstance(self.name, str) and self.name):
+            raise DataError(f"feature name must be a nonempty string, got {self.name!r}")
+        for key in ("kind", "baseline"):
+            value = getattr(self, key)
+            if value is not None and not isinstance(value, str):
+                raise DataError(f"feature {self.name!r}: {key} must be a string, got {value!r}")
         if self.kind not in VALID_KINDS:
             raise DataError(f"feature {self.name!r}: unknown kind {self.kind!r}")
         if self.is_categorical:
@@ -83,6 +88,8 @@ class FeatureSpec:
                 raise DataError(f"feature {self.name!r}: delta is not allowed for categorical features")
             if self.categories is None or len(self.categories) < 2:
                 raise DataError(f"feature {self.name!r}: categorical features need >= 2 categories")
+            if not all(isinstance(c, str) for c in self.categories):
+                raise DataError(f"feature {self.name!r}: categories must be strings")
             if len(set(self.categories)) != len(self.categories):
                 raise DataError(f"feature {self.name!r}: duplicate categories")
             if self.baseline is not None and self.baseline not in self.categories:
@@ -92,8 +99,11 @@ class FeatureSpec:
         else:
             if self.categories is not None or self.baseline is not None:
                 raise DataError(f"feature {self.name!r}: categories/baseline only apply to categorical features")
-            if self.delta is not None and not self.delta > 0:
-                raise DataError(f"feature {self.name!r}: delta must be positive")
+            if self.delta is not None and not (
+                isinstance(self.delta, numbers.Real) and not isinstance(self.delta, bool)
+                and math.isfinite(self.delta) and self.delta > 0
+            ):
+                raise DataError(f"feature {self.name!r}: delta must be a positive finite number, got {self.delta!r}")
 
     @property
     def is_categorical(self) -> bool:
@@ -203,11 +213,15 @@ class FeatureSchema:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataError(f"schema is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict) or "features" not in raw:
+        if not isinstance(raw, dict) or not isinstance(raw.get("features"), list):
             raise DataError("schema JSON must be an object with a 'features' list")
         features = []
         for entry in raw["features"]:
+            if not isinstance(entry, dict):
+                raise DataError(f"schema feature entries must be objects, got {entry!r}")
             categories = entry.get("categories")
+            if categories is not None and not isinstance(categories, list):
+                raise DataError(f"feature {entry.get('name')!r}: categories must be a list, got {categories!r}")
             features.append(
                 FeatureSpec(
                     name=entry.get("name", ""),

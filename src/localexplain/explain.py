@@ -25,6 +25,7 @@ matrices.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -37,7 +38,7 @@ from .data import OneHotLayout, QueryDataset, from_log_odds, to_log_odds
 from .neighborhood import Neighborhood, QueryPoint, compute_weights, select_neighborhood
 from .polyfit import (
     MonomialBasis,
-    PolynomialSurrogate,
+    PointFit,
     expand_basis,
     lstsq_min_norm,
     solve_system,
@@ -155,7 +156,6 @@ class LocalProblem:
         self.deltas = self._resolve_deltas()
         self.score_names, self.score_kinds, self.plus, self.minus = self._score_matrices()
         self.notes: dict[str, object] = {}
-        self._surrogate: PolynomialSurrogate | None = None
         if config.m < self.basis.q:
             warnings.warn(
                 f"neighborhood size m={config.m} is below the basis size q={self.basis.q}; "
@@ -167,16 +167,20 @@ class LocalProblem:
     # -- construction helpers ---------------------------------------------
 
     def _resolve_deltas(self) -> dict[str, float]:
+        numeric = self.schema.numeric_features
+        unknown = sorted(set(self.config.deltas) - {spec.name for spec in numeric})
+        if unknown:
+            raise ExplainError(f"delta given for {unknown[0]!r}, which is not a continuous/ordinal feature")
         deltas: dict[str, float] = {}
-        for spec in self.schema.numeric_features:
+        for spec in numeric:
             if spec.name in self.config.deltas:
                 delta = float(self.config.deltas[spec.name])
             elif spec.delta is not None:
                 delta = spec.delta
             else:
                 delta = DEFAULT_DELTA_FRACTION * self.stats.stddev(spec.name)
-            if not delta > 0:
-                raise ExplainError(f"resolved delta for feature {spec.name!r} is not positive")
+            if not (delta > 0 and math.isfinite(delta)):
+                raise ExplainError(f"delta for feature {spec.name!r} must be positive and finite, got {delta!r}")
             deltas[spec.name] = delta
         return deltas
 
@@ -229,18 +233,16 @@ class LocalProblem:
     def m(self) -> int:
         return self.neighborhood.m
 
-    def surrogate(self) -> PolynomialSurrogate:
-        """The full-neighborhood fit (cached)."""
-        if self._surrogate is None:
-            surrogate = solve_system(self.Xw, self.yw, self.basis)
-            if surrogate.diagnostics.effective_rank < 2:
-                raise ExplainError(
-                    "surrogate rank collapse: effective rank "
-                    f"{surrogate.diagnostics.effective_rank} < 2 "
-                    f"(m={self.m}, q={self.basis.q})"
-                )
-            self._surrogate = surrogate
-        return self._surrogate
+    @functools.cached_property
+    def point_fit(self) -> PointFit:
+        """The full-neighborhood fit of the weighted system, with diagnostics."""
+        fit = solve_system(self.Xw, self.yw)
+        if fit.effective_rank < 2:
+            raise ExplainError(
+                f"surrogate rank collapse: effective rank {fit.effective_rank} < 2 "
+                f"(m={self.m}, q={self.basis.q})"
+            )
+        return fit
 
     def scores_from_coefficients(self, beta: np.ndarray) -> np.ndarray:
         """Every importance score, ``link(beta @ plus) - link(beta @ minus)``.
@@ -257,8 +259,7 @@ class LocalProblem:
         return hi - lo
 
     def point_scores(self) -> list[ImportanceScore]:
-        surrogate = self.surrogate()
-        values = self.scores_from_coefficients(surrogate.coefficients)
+        values = self.scores_from_coefficients(self.point_fit.coefficients)
         if not np.all(np.isfinite(values)):
             raise ExplainError("non-finite importance score in point estimate")
         return [
@@ -284,20 +285,35 @@ class LocalProblem:
 
     # -- naive closed-form interval -----------------------------------------
 
+    @functools.cached_property
+    def _ols(self) -> tuple[np.ndarray, float, int, np.ndarray]:
+        """Unweighted least-squares fit of the neighborhood: beta, RSS, rank, X'X."""
+        beta, rank = lstsq_min_norm(self.X, self.y)
+        resid = self.y - self.X @ beta
+        return beta, float(resid @ resid), rank, self.X.T @ self.X
+
+    @functools.cached_property
+    def _ols_pinv(self) -> np.ndarray:
+        return np.linalg.pinv(self._ols[3], hermitian=True)
+
     def naive_interval(self, feature: str, alpha: float = 0.05) -> NaiveInterval:
         """Closed-form z-interval for the derivative of ``feature`` at the query.
 
         Always computed from an ordinary (unweighted) least-squares fit on
         the neighborhood, per the classical derivation: theta = beta . v,
         Var(theta) = v' (X'X)^{-1} v * sigma2 with sigma2 = RSS / dof and
-        dof = m - d - 1 (d = number of raw features).  Requires raw
-        (non-probability) outputs and a numeric feature.
+        dof = m - d - 1 (d = number of raw features).  The loading v is the
+        feature's gradient score column, so the problem must be gradient-kind
+        with raw (non-probability) outputs, and the feature numeric.  The
+        fit, X'X and its pseudo-inverse are computed once per problem.
         """
         if self.log_odds:
             raise ExplainError("naive intervals are not defined for log-odds targets")
         spec = self.schema.feature(feature)
         if not spec.is_numeric:
             raise ExplainError("naive intervals apply to continuous/ordinal features only")
+        if self.config.kind != GRADIENT:
+            raise ExplainError("naive intervals cover gradient-kind scores only")
         if not 0 < alpha < 1:
             raise ExplainError("alpha must be in (0, 1)")
         dof = self.m - len(self.schema.features) - 1
@@ -305,15 +321,10 @@ class LocalProblem:
             raise ExplainError(
                 f"nonpositive degrees of freedom ({dof}) for the naive interval"
             )
-        beta, rank = lstsq_min_norm(self.X, self.y)
-        resid = self.y - self.X @ beta
-        sigma2 = float(resid @ resid) / dof
-        col = self.layout.numeric_columns[feature]
-        v = self.basis.derivative_row(self.query_enc, col)
-        if not self.config.standardized_units:
-            v = v / self.stats.stddev(feature)
+        beta, rss, rank, XtX = self._ols
+        sigma2 = rss / dof
+        v = np.ascontiguousarray(self.plus[:, self.score_names.index(feature)])
         theta = float(beta @ v)
-        XtX = self.X.T @ self.X
         # a rank-deficient X'X can still "solve" to garbage, so trust solve
         # only when the least-squares fit found full column rank
         solved = np.full_like(v, np.nan)
@@ -323,7 +334,7 @@ class LocalProblem:
             except np.linalg.LinAlgError:
                 pass
         if not np.all(np.isfinite(solved)):
-            solved = np.linalg.pinv(XtX, hermitian=True) @ v
+            solved = self._ols_pinv @ v
             self.notes["naive_pseudo_inverse"] = True
         var = float(v @ solved) * sigma2
         se = math.sqrt(max(var, 0.0))
@@ -342,11 +353,3 @@ def build_problem(
 ) -> LocalProblem:
     """Prepare the full local-regression problem for one query point."""
     return LocalProblem(dataset, query, config)
-
-
-def explain(
-    dataset: QueryDataset, query: QueryPoint, config: ExplainConfig
-) -> tuple[list[ImportanceScore], PolynomialSurrogate]:
-    """Importance scores for every feature plus the fitted local surrogate."""
-    problem = build_problem(dataset, query, config)
-    return problem.point_scores(), problem.surrogate()

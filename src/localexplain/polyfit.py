@@ -1,4 +1,4 @@
-"""Multivariate polynomial bases and (weighted) least-squares surrogates.
+"""Multivariate polynomial bases and (weighted) least-squares fits.
 
 The basis enumerates every monomial of total degree <= k over the encoded
 numeric columns, including all interaction terms, in graded-lexicographic
@@ -9,10 +9,10 @@ Fitting goes through a rank-revealing orthogonal solve (LAPACK gelsy,
 called directly) rather than a literal (X^T X)^{-1} X^T y: small local
 neighborhoods with one-hot columns are frequently rank-deficient, and the
 minimum-norm solution keeps those fits well-defined.  The effective rank and condition
-number are surfaced in the fit diagnostics instead of failing the fit.
+number are surfaced in the :class:`PointFit` record instead of failing the fit.
 
-Every weighted fit is :func:`weighted_system` followed by
-:func:`solve_system`; :func:`fit` applies both to a fresh design matrix.
+A weighted fit is :func:`weighted_system` followed by :func:`lstsq_min_norm`;
+:func:`solve_system` adds the diagnostics of a local problem's point fit.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ _RCOND = float(np.finfo(np.float64).eps)
 
 
 class FitError(ValueError):
-    """Raised for unusable fit inputs (no rows, bad weights, shape mismatch)."""
+    """Raised for unusable fit inputs (bad weights, shape mismatch, bad basis spec)."""
 
 
 @dataclass(frozen=True)
@@ -122,14 +122,15 @@ def expand_basis(
 
 
 @dataclass(frozen=True)
-class FitDiagnostics:
-    """Residual sum of squares and rank information for a fitted surrogate.
+class PointFit:
+    """Minimum-norm coefficients of one least-squares fit, with diagnostics.
 
     ``rss`` is the minimized objective (weighted when weights were used).
     ``condition`` is the 2-norm condition number of the (weighted) design
     matrix; ``ill_conditioned`` flags values above 1e10.
     """
 
+    coefficients: np.ndarray
     rss: float
     effective_rank: int
     condition: float
@@ -137,23 +138,6 @@ class FitDiagnostics:
     @property
     def ill_conditioned(self) -> bool:
         return not np.isfinite(self.condition) or self.condition > CONDITION_WARN
-
-
-@dataclass(frozen=True)
-class PolynomialSurrogate:
-    """A fitted local polynomial: basis, coefficient vector, diagnostics."""
-
-    basis: MonomialBasis
-    coefficients: np.ndarray
-    diagnostics: FitDiagnostics
-
-    def evaluate(self, point: np.ndarray) -> float:
-        """Value of the polynomial at ``point`` (encoded-column space)."""
-        return float(self.basis.basis_row(point) @ self.coefficients)
-
-    def partial_derivative(self, column: int, point: np.ndarray) -> float:
-        """Analytic partial derivative with respect to an encoded column."""
-        return float(self.basis.derivative_row(point, column) @ self.coefficients)
 
 
 @functools.lru_cache(maxsize=None)
@@ -213,7 +197,7 @@ def weighted_system(
     return X * sw[:, None], targets * sw
 
 
-def solve_system(Xw: np.ndarray, yw: np.ndarray, basis: MonomialBasis) -> PolynomialSurrogate:
+def solve_system(Xw: np.ndarray, yw: np.ndarray) -> PointFit:
     """The minimum-norm fit of an already weighted design matrix, with diagnostics."""
     coef, rank = lstsq_min_norm(Xw, yw)
     residuals = yw - Xw @ coef
@@ -222,33 +206,9 @@ def solve_system(Xw: np.ndarray, yw: np.ndarray, basis: MonomialBasis) -> Polyno
     # merely for having a null space
     sv = scipy.linalg.svdvals(Xw)
     condition = float(sv[0] / sv[rank - 1]) if rank >= 1 and sv[rank - 1] > 0 else np.inf
-    diagnostics = FitDiagnostics(
+    return PointFit(
+        coefficients=coef,
         rss=float(residuals @ residuals),
         effective_rank=rank,
         condition=condition,
     )
-    return PolynomialSurrogate(basis=basis, coefficients=coef, diagnostics=diagnostics)
-
-
-def fit(
-    rows: np.ndarray,
-    targets: np.ndarray,
-    basis: MonomialBasis,
-    weights: np.ndarray | None = None,
-) -> PolynomialSurrogate:
-    """Weighted least-squares fit of the basis to (rows, targets).
-
-    Minimizes ``sum_i w_i (y_i - g(x_i))^2`` (w_i = 1 when unweighted).
-    Rank-deficient systems get the minimum-norm solution; see
-    :class:`FitDiagnostics` for the effective rank and conditioning.
-    """
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    targets = np.asarray(targets, dtype=float).reshape(-1)
-    if rows.shape[0] == 0:
-        raise FitError("no rows to fit")
-    if rows.shape[0] != targets.shape[0]:
-        raise FitError("row count does not match target count")
-    if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(targets))):
-        raise FitError("fit inputs contain non-finite values")
-    Xw, yw = weighted_system(basis.design_matrix(rows), targets, weights)
-    return solve_system(Xw, yw, basis)

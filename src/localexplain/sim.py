@@ -322,7 +322,11 @@ def read_baseline_csv(path: str) -> list[SweepRecord]:
     for col in ("method", "avg_width", "coverage"):
         if col not in header:
             raise ValueError(f"baseline CSV is missing column {col!r}")
-    for row in rows[1:]:
+    for number, row in enumerate(rows[1:], start=1):
+        if len(row) < len(header):
+            raise ValueError(
+                f"baseline CSV row {number} has {len(row)} fields, its header has {len(header)}"
+            )
         entry = dict(zip(header, row))
         records.append(
             SweepRecord(

@@ -8,7 +8,6 @@ from localexplain.bootstrap import (
     BootstrapDistribution,
     BootstrapError,
     bootstrap_from_problem,
-    bootstrap_intervals,
     intervals_from_distribution,
     percentile,
     replicate_indices,
@@ -136,7 +135,7 @@ class TestIntervals:
         ds = cubic_dataset(np.random.default_rng(73), n=60)
         cfg = ExplainConfig(degree=3, m=60, kind="gradient")
         boot = BootstrapConfig(B=64, c=0.7, alpha=0.05, seed=5)
-        intervals, dist = bootstrap_intervals(ds, query_at(ds, 0.4), cfg, boot)
+        intervals, dist = bootstrap_from_problem(build_problem(ds, query_at(ds, 0.4), cfg), boot)
         iv = intervals[0]
         truth = -2.0 + 1.5 * 0.4**2  # derivative of 1 - 2x + 0.5x^3
         assert iv.upper - iv.lower <= 1e-8
@@ -157,8 +156,8 @@ class TestIntervals:
         ds = cubic_dataset(rng, n=80, noise=0.6)
         cfg = ExplainConfig(degree=2, m=80, kind="gradient")
         boot = BootstrapConfig(B=200, c=0.5, alpha=0.1, seed=11)
-        intervals, dist = bootstrap_intervals(ds, query_at(ds, 0.0), cfg, boot)
-        col = dist.column("x1")
+        intervals, dist = bootstrap_from_problem(build_problem(ds, query_at(ds, 0.0), cfg), boot)
+        col = dist.scores[:, dist.names.index("x1")]
         assert intervals[0].lower == pytest.approx(percentile(col, 5.0))
         assert intervals[0].upper == pytest.approx(percentile(col, 95.0))
 
@@ -166,8 +165,8 @@ class TestIntervals:
         rng = np.random.default_rng(75)
         ds = cubic_dataset(rng, n=80, noise=0.6)
         cfg = ExplainConfig(degree=2, m=80, kind="gradient")
-        _, dist = bootstrap_intervals(
-            ds, query_at(ds, 0.1), cfg, BootstrapConfig(B=150, c=0.6, seed=3)
+        _, dist = bootstrap_from_problem(
+            build_problem(ds, query_at(ds, 0.1), cfg), BootstrapConfig(B=150, c=0.6, seed=3)
         )
         tight = intervals_from_distribution(dist, 0.20)
         mid = intervals_from_distribution(dist, 0.05)
@@ -181,8 +180,8 @@ class TestIntervals:
         ds = cubic_dataset(rng, n=70, noise=0.4)
         cfg = ExplainConfig(degree=2, m=70, kind="gradient")
         boot = BootstrapConfig(B=100, c=0.8, seed=21)
-        _, d1 = bootstrap_intervals(ds, query_at(ds, 0.2), cfg, boot)
-        _, d2 = bootstrap_intervals(ds, query_at(ds, 0.2), cfg, boot)
+        _, d1 = bootstrap_from_problem(build_problem(ds, query_at(ds, 0.2), cfg), boot)
+        _, d2 = bootstrap_from_problem(build_problem(ds, query_at(ds, 0.2), cfg), boot)
         np.testing.assert_array_equal(d1.scores, d2.scores)
 
     def test_seed_changes_endpoints_but_not_exact_width(self):
@@ -190,8 +189,8 @@ class TestIntervals:
         cfg = ExplainConfig(degree=3, m=60, kind="gradient")
         widths = []
         for seed in (1, 2, 3):
-            intervals, _ = bootstrap_intervals(
-                ds, query_at(ds, -0.3), cfg, BootstrapConfig(B=50, c=0.7, seed=seed)
+            intervals, _ = bootstrap_from_problem(
+                build_problem(ds, query_at(ds, -0.3), cfg), BootstrapConfig(B=50, c=0.7, seed=seed)
             )
             widths.append(intervals[0].upper - intervals[0].lower)
         assert max(widths) <= 1e-8

@@ -252,6 +252,34 @@ class TestExplain:
                 assert code == EXIT_OK
         assert unclosed == []
 
+    @pytest.mark.parametrize("pair, named", [
+        ("x9=0.5", "'x9'"),
+        ("color=0.5", "'color'"),
+        ("x1=inf", "'x1'"),
+        ("x1=abc", "--delta"),
+        ("x1", "--delta"),
+    ], ids=["unknown", "categorical", "inf", "not_a_number", "no_value"])
+    def test_bad_delta_is_a_json_error(self, tmp_path, capsys, pair, named):
+        data, schema = write_mixed_inputs(tmp_path)
+        code = main([
+            "explain", "--data", data, "--schema", schema, "--query", "0",
+            "--k", "1", "--m", "45", "--B", "20", "--delta", pair,
+        ])
+        assert code == EXIT_ERROR
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert named in err["message"]
+
+    def test_malformed_schema_is_a_json_error(self, tmp_path, capsys):
+        data, schema = write_mixed_inputs(tmp_path)
+        with open(schema, "w", encoding="utf-8") as fh:
+            fh.write('{"features": ["x1", "x2", "color"]}')
+        code = main([
+            "explain", "--data", data, "--schema", schema, "--query", "0",
+            "--k", "1", "--m", "45", "--B", "20",
+        ])
+        assert code == EXIT_ERROR
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "DataError"
+
     def test_missing_file_gives_json_error(self, tmp_path, capsys):
         _, schema = write_quadratic_inputs(tmp_path)
         code = main([
@@ -409,6 +437,22 @@ class TestSweepCommand:
         assert code == EXIT_OK
         text = frontier_out.read_text()
         assert "external" in text
+
+    def test_merge_short_row_is_a_json_error(self, tmp_path, capsys):
+        baseline = tmp_path / "baseline.csv"
+        baseline.write_text("method,avg_width,coverage\nexternal,0.001,0.99\nbayes,0.5\n")
+        sweep_out = tmp_path / "sweep.csv"
+        code = main([
+            "sweep", "--k-list", "1", "--m-list", "24", "--c-list", "0.7",
+            "--n", "300", "--p", "1", "--B", "16", "--seed", "3", "--threads", "1",
+            "--merge", str(baseline),
+            "--sweep-out", str(sweep_out), "--frontier-out", str(tmp_path / "frontier.csv"),
+        ])
+        assert code == EXIT_ERROR
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError"
+        assert "row 2" in err["message"]
+        assert not sweep_out.exists()
 
     @pytest.mark.parametrize("override", [
         {"--c-list": "0.1"},

@@ -83,6 +83,33 @@ class TestSchemaValidation:
         with pytest.raises(DataError):
             FeatureSpec("x", "continuous", delta=0.0)
 
+    @pytest.mark.parametrize("delta", [math.inf, math.nan, True, "0.5"])
+    def test_delta_must_be_a_finite_number(self, delta):
+        with pytest.raises(DataError, match="delta"):
+            FeatureSpec("x", "continuous", delta=delta)
+
+    @pytest.mark.parametrize("text", [
+        '["x1"]',
+        '{"features": 5}',
+        '{"features": ["x1"]}',
+        '{"features": [{"name": 5, "kind": "continuous"}]}',
+        '{"features": [{"name": "x1", "kind": ["continuous"]}]}',
+        '{"features": [{"name": "x1", "kind": "continuous", "delta": "0.5"}]}',
+        '{"features": [{"name": "x1", "kind": "continuous", "delta": true}]}',
+        '{"features": [{"name": "x1", "kind": "continuous", "delta": Infinity}]}',
+        '{"features": [{"name": "c", "kind": "categorical", "categories": "ab"}]}',
+        '{"features": [{"name": "c", "kind": "categorical", "categories": [1, 2]}]}',
+        '{"features": [{"name": "c", "kind": "categorical", "categories": [["a"], ["b"]]}]}',
+        '{"features": [{"name": "c", "kind": "categorical", "categories": ["a", "b"], "baseline": 1}]}',
+    ], ids=[
+        "not_an_object", "features_not_a_list", "entry_not_an_object", "name_not_a_string",
+        "kind_not_a_string", "delta_string", "delta_bool", "delta_inf", "categories_string",
+        "categories_not_strings", "categories_unhashable", "baseline_not_a_string",
+    ])
+    def test_malformed_schema_json_is_a_data_error(self, text):
+        with pytest.raises(DataError):
+            FeatureSchema.from_json(text)
+
     def test_json_roundtrip_uses_exact_keys(self):
         schema = FeatureSchema(
             features=(

@@ -11,11 +11,14 @@ from localexplain.explain import (
     ExplainConfig,
     ExplainError,
     build_problem,
-    explain,
 )
 from localexplain.neighborhood import QueryPoint
 
 Z_95 = 1.959963985
+
+
+def point_scores(dataset, query, config):
+    return build_problem(dataset, query, config).point_scores()
 
 
 def continuous_schema(d):
@@ -54,7 +57,7 @@ class TestGradientScores:
         betas = [1.5, -2.25, 0.5]
         ds = linear_dataset(rng, 60, 0.7, betas)
         q = QueryPoint.from_mapping(ds.schema, {"x1": 0.1, "x2": -0.4, "x3": 1.0})
-        scores, _ = explain(ds, q, ExplainConfig(degree=1, m=60, kind="gradient"))
+        scores = point_scores(ds, q, ExplainConfig(degree=1, m=60, kind="gradient"))
         assert [s.feature for s in scores] == ["x1", "x2", "x3"]
         np.testing.assert_allclose([s.value for s in scores], betas, atol=1e-8)
 
@@ -62,8 +65,8 @@ class TestGradientScores:
         rng = np.random.default_rng(41)
         ds = linear_dataset(rng, 80, 0.0, [2.0, -1.0], noise=0.3)
         q = QueryPoint.from_mapping(ds.schema, {"x1": 0.2, "x2": 0.2})
-        raw, _ = explain(ds, q, ExplainConfig(degree=2, m=80, kind="gradient"))
-        std, _ = explain(
+        raw = point_scores(ds, q, ExplainConfig(degree=2, m=80, kind="gradient"))
+        std = point_scores(
             ds, q, ExplainConfig(degree=2, m=80, kind="gradient", standardized_units=True)
         )
         from localexplain.data import standardize
@@ -80,7 +83,7 @@ class TestFunctionDifferenceScores:
         deltas = {"x1": 0.3, "x2": 0.8}
         ds = linear_dataset(rng, 50, 0.7, betas)
         q = QueryPoint.from_mapping(ds.schema, {"x1": 0.0, "x2": 0.5})
-        scores, _ = explain(
+        scores = point_scores(
             ds, q, ExplainConfig(degree=1, m=50, kind="function_difference", deltas=deltas)
         )
         expected = [2 * deltas["x1"] * betas[0], 2 * deltas["x2"] * betas[1]]
@@ -93,8 +96,8 @@ class TestFunctionDifferenceScores:
         ds = QueryDataset(continuous_schema(1), x, np.zeros((120, 0), dtype=np.int64), y)
         q = QueryPoint.from_mapping(ds.schema, {"x1": 0.6})
         delta = 1e-6
-        grad, _ = explain(ds, q, ExplainConfig(degree=3, m=120, kind="gradient"))
-        diff, _ = explain(
+        grad = point_scores(ds, q, ExplainConfig(degree=3, m=120, kind="gradient"))
+        diff = point_scores(
             ds, q,
             ExplainConfig(degree=3, m=120, kind="function_difference", deltas={"x1": delta}),
         )
@@ -117,6 +120,19 @@ class TestFunctionDifferenceScores:
         )
         assert problem2.deltas["x1"] == pytest.approx(0.5 * ds2.numeric[:, 0].std(ddof=1))
 
+    @pytest.mark.parametrize("deltas, name", [
+        ({"x9": 0.5}, "x9"),
+        ({"color": 0.5}, "color"),
+        ({"x1": math.inf}, "x1"),
+        ({"x1": math.nan}, "x1"),
+        ({"x2": -0.5}, "x2"),
+    ], ids=["unknown", "categorical", "inf", "nan", "negative"])
+    def test_bad_delta_names_the_feature(self, deltas, name):
+        ds = mixed_dataset(np.random.default_rng(64))
+        q = QueryPoint.from_mapping(ds.schema, {"x1": 0.0, "x2": 0.0, "color": "b"})
+        with pytest.raises(ExplainError, match=repr(name)):
+            build_problem(ds, q, ExplainConfig(degree=1, m=60, deltas=deltas))
+
 
 class TestCategoricalScores:
     def test_baseline_query_scores_zero(self):
@@ -124,7 +140,7 @@ class TestCategoricalScores:
         q = QueryPoint.from_mapping(
             ds.schema, {"x1": 0.0, "x2": 0.0, "color": "a"}
         )
-        scores, _ = explain(ds, q, ExplainConfig(degree=1, m=60, balance=False))
+        scores = point_scores(ds, q, ExplainConfig(degree=1, m=60, balance=False))
         by_name = {s.feature: s for s in scores}
         assert by_name["color"].value == 0.0
         assert by_name["color"].kind == "baseline_difference"
@@ -132,14 +148,14 @@ class TestCategoricalScores:
     def test_recovers_categorical_offsets(self):
         ds = mixed_dataset(np.random.default_rng(47))
         q = QueryPoint.from_mapping(ds.schema, {"x1": 0.3, "x2": -0.2, "color": "b"})
-        scores, _ = explain(ds, q, ExplainConfig(degree=1, m=90, kind="gradient"))
+        scores = point_scores(ds, q, ExplainConfig(degree=1, m=90, kind="gradient"))
         by_name = {s.feature: s for s in scores}
         assert by_name["color"].value == pytest.approx(1.25, abs=1e-8)
 
     def test_pairs_mode_reports_every_non_baseline_category(self):
         ds = mixed_dataset(np.random.default_rng(48))
         q = QueryPoint.from_mapping(ds.schema, {"x1": 0.3, "x2": -0.2, "color": "b"})
-        scores, _ = explain(
+        scores = point_scores(
             ds, q, ExplainConfig(degree=1, m=90, kind="gradient", categorical_mode="pairs")
         )
         by_name = {s.feature: s for s in scores}
@@ -160,7 +176,7 @@ class TestLogOddsPipeline:
         ds = self.make_probability_dataset(rng)
         q = QueryPoint.from_mapping(ds.schema, {"x1": 0.25})
         delta = 0.4
-        scores, _ = explain(
+        scores = point_scores(
             ds, q,
             ExplainConfig(degree=1, m=80, kind="function_difference", deltas={"x1": delta}),
         )
@@ -245,11 +261,11 @@ class TestNaiveInterval:
         with pytest.raises(ExplainError):
             problem.naive_interval("color")
 
-    @pytest.mark.parametrize("seed, row", [(1, 0), (4, 2)])
-    def test_collinear_features_use_pseudo_inverse(self, seed, row):
+    @staticmethod
+    def collinear_problem(seed, row):
         # x2 is x1 up to 1e-15 noise: X'X is singular to working precision,
-        # yet np.linalg.solve returns (garbage) without raising; on these
-        # draws it gave standard errors of ~1e7 and exactly 0.0
+        # yet np.linalg.solve returns (garbage) without raising; on the
+        # draws below it gave standard errors of ~1e7 and exactly 0.0
         rng = np.random.default_rng(seed)
         x1 = rng.standard_normal(200)
         x2 = 3.0 * x1 + 1.0 + 1e-15 * rng.standard_normal(200)
@@ -259,7 +275,11 @@ class TestNaiveInterval:
             np.zeros((200, 0), dtype=np.int64), y,
         )
         cfg = ExplainConfig(degree=1, m=80, kind="gradient", weighted=False, balance=False)
-        problem = build_problem(ds, QueryPoint.from_row(ds, row), cfg)
+        return build_problem(ds, QueryPoint.from_row(ds, row), cfg)
+
+    @pytest.mark.parametrize("seed, row", [(1, 0), (4, 2)])
+    def test_collinear_features_use_pseudo_inverse(self, seed, row):
+        problem = self.collinear_problem(seed, row)
         iv = problem.naive_interval("x1")
         assert problem.notes.get("naive_pseudo_inverse") is True
         col = problem.layout.numeric_columns["x1"]
@@ -271,6 +291,48 @@ class TestNaiveInterval:
         se = math.sqrt(float(v @ np.linalg.pinv(X.T @ X, hermitian=True) @ v) * sigma2)
         assert iv.standard_error == pytest.approx(se, rel=1e-6)
         assert 0.0 < iv.standard_error < 1.0
+
+    def test_pseudo_inverse_noted_on_every_call(self):
+        # the note is per problem; a caller that clears it between calls
+        # still sees each call that used the pseudo-inverse
+        problem = self.collinear_problem(1, 0)
+        for feature in ("x1", "x2", "x1"):
+            problem.notes.pop("naive_pseudo_inverse", None)
+            problem.naive_interval(feature)
+            assert problem.notes.get("naive_pseudo_inverse") is True
+
+    def test_function_difference_problem_rejected(self):
+        ds = linear_dataset(np.random.default_rng(65), 60, 1.0, [2.0], noise=0.5)
+        q = QueryPoint.from_mapping(ds.schema, {"x1": 0.0})
+        problem = build_problem(ds, q, ExplainConfig(degree=1, m=60, kind="function_difference"))
+        with pytest.raises(ExplainError, match="gradient"):
+            problem.naive_interval("x1")
+
+    @pytest.mark.parametrize("case", ["full_rank", "pseudo_inverse"])
+    def test_one_least_squares_solve_per_problem(self, case, monkeypatch):
+        from localexplain import explain as explain_module
+
+        def make():
+            if case == "pseudo_inverse":
+                return self.collinear_problem(4, 2)
+            ds = linear_dataset(np.random.default_rng(66), 120, 1.0, [2.0, -1.0], noise=0.5)
+            q = QueryPoint.from_mapping(ds.schema, {"x1": 0.3, "x2": -0.2})
+            return build_problem(ds, q, ExplainConfig(degree=2, m=90, kind="gradient"))
+
+        fresh = [make().naive_interval(f, 0.1) for f in ("x1", "x2")]
+        calls = []
+        original = explain_module.lstsq_min_norm
+
+        def counting(X, y):
+            calls.append(X.shape)
+            return original(X, y)
+
+        monkeypatch.setattr(explain_module, "lstsq_min_norm", counting)
+        problem = make()
+        shared = [problem.naive_interval(f, 0.1) for f in ("x1", "x2")]
+        assert len(calls) == 1
+        assert shared == fresh
+        assert bool(problem.notes.get("naive_pseudo_inverse")) == (case == "pseudo_inverse")
 
     def test_width_scales_inverse_sqrt_m(self):
         rng = np.random.default_rng(59)
@@ -305,7 +367,7 @@ class TestScoreMatrices:
             mode = "pairs" if case == "pairs" else "query"
             cfg = ExplainConfig(degree=2, m=90, kind="gradient", categorical_mode=mode)
         problem = build_problem(ds, q, cfg)
-        beta = problem.surrogate().coefficients + rng.normal(0.0, 0.2, size=(25, problem.basis.q))
+        beta = problem.point_fit.coefficients + rng.normal(0.0, 0.2, size=(25, problem.basis.q))
         batch = problem.scores_from_coefficients(beta)
         rows = np.array([problem.scores_from_coefficients(b) for b in beta])
         assert batch.shape == (25, len(problem.score_names))
@@ -342,7 +404,7 @@ class TestFailureModes:
         with pytest.raises(ExplainError, match="rank"):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                explain(ds, q, ExplainConfig(degree=2, m=20, balance=False))
+                point_scores(ds, q, ExplainConfig(degree=2, m=20, balance=False))
 
     def test_underdetermined_fit_warns(self):
         rng = np.random.default_rng(60)
@@ -355,7 +417,7 @@ class TestFailureModes:
         rng = np.random.default_rng(61)
         ds = linear_dataset(rng, 50, 0.0, [1.0], noise=0.1)
         q = QueryPoint.from_mapping(ds.schema, {"x1": 0.0})
-        _, surrogate = explain(ds, q, ExplainConfig(degree=1, m=50))
-        diag = surrogate.diagnostics
-        assert diag.effective_rank == 2
-        assert np.isfinite(diag.condition)
+        fit = build_problem(ds, q, ExplainConfig(degree=1, m=50)).point_fit
+        assert fit.effective_rank == 2
+        assert np.isfinite(fit.condition)
+        assert not fit.ill_conditioned
