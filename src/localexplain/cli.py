@@ -39,7 +39,7 @@ from .bootstrap import (
     bootstrap_from_problem,
     write_scores_csv,
 )
-from .data import DataError, FeatureSchema, load_dataset, write_dataset_csv
+from .data import DataError, FeatureSchema, load_dataset, read_csv_header, write_dataset_csv
 from .explain import GRADIENT, ExplainConfig, ExplainError, LocalProblem, build_problem
 from .neighborhood import BalanceError, QueryPoint
 from .polyfit import FitError
@@ -255,15 +255,15 @@ def cmd_explain(args) -> int:
 
 
 def _read_query_rows(path: str, schema: FeatureSchema) -> list[dict[str, str]]:
+    """Query rows as feature name -> stripped cell, with the data CSV's header rules."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.DictReader(lines)
-    if reader.fieldnames is None:
-        raise DataError("queries CSV has no header row")
-    for name in schema.names:
-        if name not in reader.fieldnames:
-            raise DataError(f"queries CSV is missing column {name!r}")
-    return list(reader)
+        reader = csv.reader(fh)
+        _, col_index = read_csv_header(reader, schema.names, "queries CSV")
+        columns = {name: col_index[name] for name in schema.names}
+        return [
+            {name: row[idx].strip() for name, idx in columns.items() if idx < len(row)}
+            for row in reader if row
+        ]
 
 
 def cmd_summarize(args) -> int:

@@ -360,83 +360,117 @@ def load_dataset(
     The header must contain one column per schema feature plus the output
     column (``f`` by default); extra columns are ignored.  This only parses
     cells into numbers and category codes; :class:`QueryDataset` checks the
-    values.  Errors name the offending 1-based data row and column.
+    values.  A path is parsed in C by ``np.loadtxt``; bytes, streams and any
+    file the C parse rejects go through the row parser, whose errors name the
+    offending 1-based data row and column.
     """
-    if isinstance(source, (str, bytes)):
-        if isinstance(source, bytes):
-            stream: IO = io.StringIO(source.decode("utf-8"))
-        else:
-            stream = open(source, "r", encoding="utf-8", newline="")
-    elif isinstance(source, io.RawIOBase) or isinstance(source, io.BufferedIOBase):
-        stream = io.TextIOWrapper(source, encoding="utf-8", newline="")
-    else:
-        stream = source
-    try:
-        reader = csv.reader(stream)
-        header = None
-        for row in reader:
-            # tolerate leading comment lines (e.g. an embedded run manifest)
-            if row and row[0].startswith("#"):
-                continue
-            header = row
-            break
-        if header is None:
-            raise DataError("CSV has no header row")
-        col_index: dict[str, int] = {}
-        for idx, name in enumerate(header):
-            col_index.setdefault(name.strip(), idx)
-        for name in (*schema.names, output_column):
-            if name not in col_index:
-                raise DataError(f"missing column {name!r} in CSV header")
+    if isinstance(source, str):
+        with open(source, "r", encoding="utf-8", newline="") as stream:
+            parsed = _parse_in_c(stream, schema, output_column)
+            if parsed is None:
+                stream.seek(0)
+                parsed = _parse_rows(stream, schema, output_column)
+        return QueryDataset(schema, *parsed)
+    if isinstance(source, bytes):
+        source = io.StringIO(source.decode("utf-8"))
+    elif isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+        source = io.TextIOWrapper(source, encoding="utf-8", newline="")
+    return QueryDataset(schema, *_parse_rows(source, schema, output_column))
 
-        numeric_specs = schema.numeric_features
-        categorical_specs = schema.categorical_features
-        cat_lookup = [
-            {label: code for code, label in enumerate(spec.categories)} for spec in categorical_specs
-        ]
-        numeric_rows: list[list[float]] = []
-        code_rows: list[list[int]] = []
-        outputs: list[float] = []
-        for row_no, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < len(header):
-                raise DataError("row has fewer cells than the header", row=row_no)
-            num_row = []
-            for spec in numeric_specs:
-                cell = row[col_index[spec.name]].strip()
-                try:
-                    num_row.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"non-numeric value {cell!r} for {spec.kind} feature",
-                        row=row_no,
-                        column=spec.name,
-                    ) from None
-            code_row = []
-            for spec, lookup in zip(categorical_specs, cat_lookup):
-                cell = row[col_index[spec.name]].strip()
-                if cell not in lookup:
-                    raise DataError(
-                        f"unknown category {cell!r}", row=row_no, column=spec.name
-                    )
-                code_row.append(lookup[cell])
-            cell = row[col_index[output_column]].strip()
+
+def read_csv_header(reader, names, source: str = "CSV") -> tuple[list[str], dict[str, int]]:
+    """The header row after any leading ``#`` lines, and the first column of each stripped name.
+
+    Every name in ``names`` must be present; ``source`` names the file in errors.
+    """
+    # tolerate leading comment lines (e.g. an embedded run manifest)
+    header = next((row for row in reader if not (row and row[0].startswith("#"))), None)
+    if header is None:
+        raise DataError(f"{source} has no header row")
+    col_index: dict[str, int] = {}
+    for idx, name in enumerate(header):
+        col_index.setdefault(name.strip(), idx)
+    for name in names:
+        if name not in col_index:
+            raise DataError(f"missing column {name!r} in {source} header")
+    return header, col_index
+
+
+def _parse_in_c(stream: IO, schema: FeatureSchema, output_column: str):
+    """(numeric, codes, outputs) from two ``np.loadtxt`` passes, or None if the row parser must decide.
+
+    Pass 1 reads the output and numeric columns as floats, pass 2 the
+    categorical columns as text.  Whichever pass reads the header's last
+    column makes a short row fail.
+    """
+    reader = csv.reader(stream)
+    header, col_index = read_csv_header(reader, (*schema.names, output_column))
+    skiprows = reader.line_num
+    if not any(any(cell.strip() for cell in row) for row in reader):
+        return None  # no data row: the row parser reports the empty dataset
+    float_cols = [col_index[output_column]] + [col_index[s.name] for s in schema.numeric_features]
+    label_cols = [col_index[s.name] for s in schema.categorical_features]
+    if len(header) - 1 not in float_cols + label_cols:
+        label_cols.append(len(header) - 1)
+    options = dict(delimiter=",", comments=None, quotechar='"', skiprows=skiprows, ndmin=2)
+    # reading the open stream keeps a CR inside quotes, as csv does; dtype=object
+    # avoids dtype=str's chunked read, which warns on every blank line
+    try:
+        stream.seek(0)
+        values = np.loadtxt(stream, dtype=float, usecols=float_cols, **options)
+        stream.seek(0)
+        labels = np.loadtxt(stream, dtype=object, usecols=label_cols, **options) if label_cols else None
+    except ValueError:
+        return None
+    codes = np.empty((values.shape[0], len(schema.categorical_features)), dtype=np.int64)
+    for j, spec in enumerate(schema.categorical_features):
+        lookup = {label: code for code, label in enumerate(spec.categories)}
+        codes[:, j] = [lookup.get(cell.strip(), -1) for cell in labels[:, j].tolist()]
+    if (codes < 0).any():
+        return None
+    return np.ascontiguousarray(values[:, 1:]), codes, np.ascontiguousarray(values[:, 0])
+
+
+def _parse_rows(stream: IO, schema: FeatureSchema, output_column: str):
+    """(numeric, codes, outputs) parsed cell by cell; errors name the row and column."""
+    reader = csv.reader(stream)
+    header, col_index = read_csv_header(reader, (*schema.names, output_column))
+    numeric_specs = schema.numeric_features
+    categorical_specs = schema.categorical_features
+    cat_lookup = [{label: code for code, label in enumerate(spec.categories)} for spec in categorical_specs]
+    numeric_rows: list[list[float]] = []
+    code_rows: list[list[int]] = []
+    outputs: list[float] = []
+    for row_no, row in enumerate(reader, start=1):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) < len(header):
+            raise DataError("row has fewer cells than the header", row=row_no)
+        num_row = []
+        for spec in numeric_specs:
+            cell = row[col_index[spec.name]].strip()
             try:
-                outputs.append(float(cell))
+                num_row.append(float(cell))
             except ValueError:
-                raise DataError(
-                    f"non-numeric output value {cell!r}", row=row_no, column=output_column
-                ) from None
-            numeric_rows.append(num_row)
-            code_rows.append(code_row)
-        n = len(outputs)
-        numeric = np.array(numeric_rows, dtype=float).reshape(n, len(numeric_specs))
-        codes = np.array(code_rows, dtype=np.int64).reshape(n, len(categorical_specs))
-        return QueryDataset(schema, numeric, codes, np.asarray(outputs))
-    finally:
-        if isinstance(source, (str, bytes)) and hasattr(stream, "close"):
-            stream.close()
+                message = f"non-numeric value {cell!r} for {spec.kind} feature"
+                raise DataError(message, row=row_no, column=spec.name) from None
+        code_row = []
+        for spec, lookup in zip(categorical_specs, cat_lookup):
+            cell = row[col_index[spec.name]].strip()
+            if cell not in lookup:
+                raise DataError(f"unknown category {cell!r}", row=row_no, column=spec.name)
+            code_row.append(lookup[cell])
+        cell = row[col_index[output_column]].strip()
+        try:
+            outputs.append(float(cell))
+        except ValueError:
+            raise DataError(f"non-numeric output value {cell!r}", row=row_no, column=output_column) from None
+        numeric_rows.append(num_row)
+        code_rows.append(code_row)
+    n = len(outputs)
+    numeric = np.array(numeric_rows, dtype=float).reshape(n, len(numeric_specs))
+    codes = np.array(code_rows, dtype=np.int64).reshape(n, len(categorical_specs))
+    return numeric, codes, np.asarray(outputs)
 
 
 def write_dataset_csv(dataset: QueryDataset, stream: IO, output_column: str = "f") -> None:

@@ -7,6 +7,12 @@ a single greedy pass over the distance ordering keeps, for every categorical
 feature whose query category differs from its baseline, the counts of the
 baseline class and the query class within one of each other by capping both
 classes at ceil(m/2) selections.
+
+The ordering is never sorted in full.  ``np.partition`` finds the distance of
+the s-th nearest row (s a small multiple of m), and only the rows at or below
+it, ties included, are stable-sorted: an exact prefix of the full ordering
+with ties broken by row index.  A balanced scan that runs past the prefix
+grows it geometrically, up to the whole table.
 """
 
 from __future__ import annotations
@@ -18,6 +24,11 @@ from typing import Mapping
 import numpy as np
 
 from .data import DataError, FeatureSchema, QueryDataset, StandardizationStats
+
+
+#: The nearest PREFIX_FACTOR * m rows are sorted first; a balanced scan that
+#: runs past them sorts PREFIX_FACTOR times as many, up to the whole table.
+PREFIX_FACTOR = 8
 
 
 class BalanceError(RuntimeError):
@@ -100,7 +111,7 @@ def select_neighborhood(
         raise DataError(f"neighborhood size m={m} exceeds dataset size n={n}")
     diffs = dataset.numeric - query.numeric
     distances = np.sqrt(np.einsum("ij,ij->i", diffs, diffs)) if diffs.shape[1] else np.zeros(n)
-    order = np.argsort(distances, kind="stable")
+    order = _nearest_first(distances, min(n, PREFIX_FACTOR * m))
 
     constrained: list[tuple[str, int, int, int]] = []  # (name, cat col, base code, query code)
     if balance:
@@ -116,53 +127,39 @@ def select_neighborhood(
         return Neighborhood(member_indices=chosen, distances=distances[chosen])
 
     quota = math.ceil(m / 2)
-    counts = np.zeros((len(constrained), 2), dtype=int)  # [:, 0] baseline, [:, 1] query class
+    counts = [[0, 0] for _ in constrained]  # per constraint: baseline, query class
     selected: list[int] = []  # positions in ``order``, so ascending distance
     skipped: list[int] = []
-    for pos, idx in enumerate(order):
-        if len(selected) == m:
-            break
-        ok = True
+    pos = 0
+    while len(selected) < m and pos < n:
+        if pos == len(order):
+            order = _nearest_first(distances, min(n, PREFIX_FACTOR * pos))
+        row = dataset.codes[order[pos]].tolist()
         marks = []
         for ci, (_, j, base_code, query_code) in enumerate(constrained):
-            code = dataset.codes[idx, j]
-            if code == base_code:
-                if counts[ci, 0] >= quota:
-                    ok = False
-                    break
-                marks.append((ci, 0))
-            elif code == query_code:
-                if counts[ci, 1] >= quota:
-                    ok = False
-                    break
-                marks.append((ci, 1))
-            else:
-                # neither class: only admissible while both caps are open, so
-                # remaining slots can still even the two classes out
-                if counts[ci, 0] >= quota or counts[ci, 1] >= quota:
-                    ok = False
-                    break
-        if ok:
+            side = 0 if row[j] == base_code else 1 if row[j] == query_code else None
+            # a row of neither class is only admissible while both caps are
+            # open, so the remaining slots can still even the two classes out
+            if (max(counts[ci]) if side is None else counts[ci][side]) >= quota:
+                skipped.append(pos)
+                break
+            if side is not None:
+                marks.append((ci, side))
+        else:
             selected.append(pos)
             for ci, side in marks:
-                counts[ci, side] += 1
-        else:
-            skipped.append(pos)
+                counts[ci][side] += 1
+        pos += 1
 
     fallback_used = False
     if len(selected) < m:
         if not fallback:
-            for ci, (name, _, base_code, query_code) in enumerate(constrained):
-                for side, code in ((0, base_code), (1, query_code)):
-                    if counts[ci, side] < quota:
-                        spec = dataset.schema.feature(name)
-                        raise BalanceError(
-                            feature=name,
-                            label=spec.categories[code],
-                            have=int(counts[ci, side]),
-                            need=quota,
-                        )
-            raise BalanceError(constrained[0][0], "?", len(selected), m)
+            # each member counts on at most one side of a constraint, so with
+            # fewer than m <= 2 * quota members some side is short of its quota
+            ci, side = np.argwhere(np.array(counts) < quota)[0]
+            name, _, base_code, query_code = constrained[ci]
+            label = dataset.schema.feature(name).categories[(base_code, query_code)[side]]
+            raise BalanceError(feature=name, label=label, have=counts[ci][side], need=quota)
         fallback_used = True
         selected = sorted(selected + skipped[: m - len(selected)])
 
@@ -170,6 +167,21 @@ def select_neighborhood(
     return Neighborhood(
         member_indices=chosen, distances=distances[chosen], balance_fallback_used=fallback_used
     )
+
+
+def _nearest_first(distances: np.ndarray, size: int) -> np.ndarray:
+    """The first ``size`` or more entries of ``np.argsort(distances, kind="stable")``.
+
+    Partitions at the ``size``-th smallest distance and stable-sorts only the
+    rows at or below it.  Ties with that distance are all kept, so the result
+    is an exact prefix of the full stable order.
+    """
+    if size < len(distances):
+        threshold = np.partition(distances, size - 1)[size - 1]
+        prefix = np.flatnonzero(distances <= threshold)
+        if len(prefix) >= size:  # fewer only if NaN distances reached the partition point
+            return prefix[np.argsort(distances[prefix], kind="stable")]
+    return np.argsort(distances, kind="stable")
 
 
 def compute_weights(distances: np.ndarray) -> np.ndarray:

@@ -362,6 +362,25 @@ class TestSummarize:
         assert entry["instances_failed"] == "1"
         assert entry["low_success"] == "1"  # 1 of 2 < 80%
 
+    def test_queries_csv_read_with_the_data_csv_rules(self, tmp_path):
+        # spaced header names and cells, a leading comment line and a blank row
+        data, schema = write_mixed_inputs(tmp_path)
+        plain = tmp_path / "plain.csv"
+        plain.write_text("x1,x2,color\n0.1,0.9,g\n-0.4,-1.0,r\n")
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text("# manifest\nx1, x2 , color\n 0.1 , 0.9, g\n\n-0.4 ,-1.0 , r \n")
+        summaries = []
+        for queries in (plain, spaced):
+            out = tmp_path / f"summary_{queries.name}"
+            code = main([
+                "summarize", "--data", data, "--schema", schema, "--queries", str(queries),
+                "--k", "1", "--m", "60", "--B", "30", "--seed", "9", "--threads", "1", "--out", str(out),
+            ])
+            assert code == EXIT_OK
+            summaries.append([ln for ln in out.read_text().splitlines() if not ln.startswith("#")])
+        assert summaries[0] == summaries[1]
+        assert summaries[0][1].endswith(",2,0,0")  # both instances explained
+
     def test_threads_do_not_change_output(self, tmp_path):
         data, schema = write_mixed_inputs(tmp_path)
         queries = tmp_path / "queries.csv"

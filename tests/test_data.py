@@ -3,10 +3,12 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from localexplain import data
 from localexplain.data import (
     DataError,
     FeatureSchema,
@@ -194,6 +196,108 @@ class TestLoadDataset:
         )
         ds = load_dataset(b"c,f\na,0\nb,1\nb,2\n", schema)
         assert ds.schema.feature("c").baseline == "b"
+
+
+def parity_schema():
+    return FeatureSchema(
+        features=(
+            FeatureSpec(name="x1", kind="continuous"),
+            FeatureSpec(
+                name="tag", kind="categorical",
+                categories=("plain", "#hash", "a#b", "with space", "q,c", 'say "hi"'), baseline="plain",
+            ),
+            FeatureSpec(name="x2", kind="ordinal"),
+        )
+    )
+
+
+PARITY_CASES = {
+    # name: (CSV text, whether the C parse alone reads it)
+    "manifest_lines": (
+        '# {"command": "summarize", "note": "a,b"}\n# "quoted\nx1,tag,x2,f\n1.5,plain,2,0.5\n-1,a#b,3,1.5\n',
+        True,
+    ),
+    "hash_in_label": ("tag,x1,x2,f\n#hash,1,2,0.5\na#b,2,3,1\n", True),
+    "spaces": ("x1 , tag , x2 , f\n 1.5 , with space ,\t2 , 0.5 \n-2, plain ,3,1\n", True),
+    "crlf": ("x1,tag,x2,f\r\n1.5,plain,2,0.5\r\n2,#hash,3,1\r\n", True),
+    "quoted_cells": (
+        'note,x1,tag,x2,f\n"a,b",1,"q,c",2,0.5\n"x",2,"say ""hi""","3",1\n"multi\nline",3,plain,4,2\n',
+        True,
+    ),
+    "blank_lines": ("x1,tag,x2,f\n\n1,plain,2,0.5\n\n\n2,a#b,3,1\n\n", True),
+    "all_blank_cells_row": ("x1,tag,x2,f\n1,plain,2,0.5\n , ,, \n2,a#b,3,1\n", False),
+    "extra_and_duplicated_columns": (
+        "x1,extra,tag,x2,f,x1,f\n1,zz,plain,2,0.5,9,9\n2,,a#b,3,1,8,8,longer\n", True,
+    ),
+    "underscore_numbers": ("x1,tag,x2,f\n1_000,plain,2,0.5\n2,a#b,3_0,1\n", False),
+}
+
+
+@pytest.fixture
+def row_parser_calls(monkeypatch):
+    """Counts the calls of the cell-by-cell row parser."""
+    calls = []
+    parse_rows = data._parse_rows
+
+    def counted(*args):
+        calls.append(args)
+        return parse_rows(*args)
+
+    monkeypatch.setattr(data, "_parse_rows", counted)
+    return calls
+
+
+def load_path_and_bytes(tmp_path, text, schema):
+    """``load_dataset`` of a file path (C parse) and of the same bytes (row parser)."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    results = []
+    for source in (str(path), text.encode("utf-8")):
+        try:
+            results.append(load_dataset(source, schema))
+        except DataError as exc:
+            results.append(exc)
+    return results
+
+
+class TestCParseParity:
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_path_matches_row_parser(self, tmp_path, row_parser_calls, case):
+        text, c_only = PARITY_CASES[case]
+        from_path, from_bytes = load_path_and_bytes(tmp_path, text, parity_schema())
+        # the bytes load always runs the row parser; the path load only when the C parse fails
+        assert len(row_parser_calls) == (1 if c_only else 2)
+        for name in ("numeric", "codes", "outputs"):
+            a, b = getattr(from_path, name), getattr(from_bytes, name)
+            assert a.dtype == b.dtype and a.flags.c_contiguous
+            np.testing.assert_array_equal(a, b)
+        assert from_path.schema == from_bytes.schema
+        assert from_path.n >= 2
+
+    @pytest.mark.parametrize("text, message, row, column", [
+        # the short row holds every used column; only the ignored last one is missing
+        ("x1,tag,x2,f,note\n1,plain,2,0.5,n\n1,plain,2,0.5\n", "row has fewer cells than the header (row 2)",
+         2, None),
+        ("x1,tag,x2,f\n1,plain,abc,0.5\n", "non-numeric value 'abc' for ordinal feature (row 1, column 'x2')",
+         1, "x2"),
+        ("x1,tag,x2,f\n1,plain,2,0.5\n1, nope ,2,0.5\n", "unknown category 'nope' (row 2, column 'tag')",
+         2, "tag"),
+        ("x1,tag,x2,f\n1,plain,2,0.5\n1,plain,2,\n", "non-numeric output value '' (row 2, column 'f')",
+         2, "f"),
+    ], ids=["short_row", "non_numeric", "unknown_label", "empty_output"])
+    def test_errors_name_row_and_column(self, tmp_path, text, message, row, column):
+        from_path, from_bytes = load_path_and_bytes(tmp_path, text, parity_schema())
+        for err in (from_path, from_bytes):
+            assert isinstance(err, DataError)
+            assert (str(err), err.row, err.column) == (message, row, column)
+
+    def test_header_only_file_is_empty_without_warning(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("# manifest\nx1,tag,x2,f\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^dataset is empty$"):
+                load_dataset(str(path), parity_schema())
 
 
 class TestStandardize:

@@ -1,11 +1,15 @@
 """Neighborhood selection, balancing, and regression weights."""
 
+import math
+
 import numpy as np
 import pytest
 
+from localexplain import neighborhood
 from localexplain.data import DataError, FeatureSchema, FeatureSpec, QueryDataset
 from localexplain.neighborhood import (
     BalanceError,
+    Neighborhood,
     QueryPoint,
     compute_weights,
     select_neighborhood,
@@ -106,6 +110,105 @@ class TestSelection:
         np.testing.assert_array_equal(nb.member_indices, [0, 1, 2, 4])
         np.testing.assert_allclose(nb.distances, [1.0, 2.0, 3.0, 5.0])
         assert (np.diff(nb.distances) >= 0).all()
+
+
+def full_sort_selection(dataset, query, m, balance=True, fallback=False):
+    """Reference selection: the balanced scan over the full stable argsort of all n distances."""
+    diffs = dataset.numeric - query.numeric
+    distances = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    order = np.argsort(distances, kind="stable")
+    constrained = []
+    for j, spec in enumerate(dataset.schema.categorical_features):
+        base_code, query_code = spec.categories.index(spec.baseline), int(query.codes[j])
+        if balance and query_code != base_code:
+            constrained.append((spec.name, j, base_code, query_code))
+    if not constrained:
+        return Neighborhood(order[:m], distances[order[:m]])
+    quota = math.ceil(m / 2)
+    counts = np.zeros((len(constrained), 2), dtype=int)
+    selected, skipped = [], []
+    for pos, idx in enumerate(order):
+        if len(selected) == m:
+            break
+        marks = []
+        for ci, (_, j, base_code, query_code) in enumerate(constrained):
+            code = dataset.codes[idx, j]
+            side = 0 if code == base_code else 1 if code == query_code else None
+            if (counts[ci, side] >= quota) if side is not None else (counts[ci] >= quota).any():
+                skipped.append(pos)
+                break
+            if side is not None:
+                marks.append((ci, side))
+        else:
+            selected.append(pos)
+            for ci, side in marks:
+                counts[ci, side] += 1
+    if len(selected) < m:
+        if not fallback:
+            for ci, (name, _, base_code, query_code) in enumerate(constrained):
+                for side, code in ((0, base_code), (1, query_code)):
+                    if counts[ci, side] < quota:
+                        label = dataset.schema.feature(name).categories[code]
+                        raise BalanceError(name, label, int(counts[ci, side]), quota)
+        selected = sorted(selected + skipped[: m - len(selected)])
+        return Neighborhood(order[selected], distances[order[selected]], True)
+    return Neighborhood(order[selected], distances[order[selected]])
+
+
+def random_case(rng):
+    """A table with integer-valued features (many distance ties) and one rare class."""
+    n = int(rng.integers(20, 3000))
+    schema = FeatureSchema((
+        FeatureSpec("x1", "continuous"),
+        FeatureSpec("x2", "ordinal"),
+        FeatureSpec("a", "categorical", categories=("p", "q", "r"), baseline="p"),
+        FeatureSpec("b", "categorical", categories=("s", "t", "u", "v"), baseline="s"),
+    ))
+    numeric = rng.integers(0, 4, size=(n, 2)).astype(float)
+    codes = np.column_stack([
+        rng.choice(3, size=n, p=[0.6, 0.3, 0.1]),
+        rng.choice(4, size=n, p=[0.9, 0.05, 0.03, 0.02]),
+    ])
+    dataset = QueryDataset(schema, numeric, codes, np.zeros(n))
+    query = QueryPoint(numeric=rng.integers(0, 4, size=2).astype(float),
+                       codes=np.array([rng.integers(3), rng.choice(4, p=[0.2, 0.2, 0.2, 0.4])]))
+    m = int(rng.integers(1, min(n, 80) + 1))
+    return dataset, query, m
+
+
+class TestPrefixParity:
+    def test_matches_full_sort_selection(self, monkeypatch):
+        prefixes = []
+        nearest_first = neighborhood._nearest_first
+
+        def counted(distances, size):
+            prefixes.append(size)
+            return nearest_first(distances, size)
+
+        monkeypatch.setattr(neighborhood, "_nearest_first", counted)
+        rng = np.random.default_rng(2024)
+        outcomes = {"grown": 0, "error": 0, "fallback": 0}
+        for _ in range(400):
+            dataset, query, m = random_case(rng)
+            balance, fallback = bool(rng.integers(2)), bool(rng.integers(2))
+            prefixes.clear()
+            try:
+                expected = full_sort_selection(dataset, query, m, balance, fallback)
+            except BalanceError as exc:
+                with pytest.raises(BalanceError) as err:
+                    select_neighborhood(dataset, query, m, balance, fallback)
+                assert str(err.value) == str(exc)
+                assert (err.value.feature, err.value.label) == (exc.feature, exc.label)
+                outcomes["error"] += 1
+                continue
+            got = select_neighborhood(dataset, query, m, balance, fallback)
+            np.testing.assert_array_equal(got.member_indices, expected.member_indices)
+            np.testing.assert_array_equal(got.distances, expected.distances)
+            assert got.balance_fallback_used == expected.balance_fallback_used
+            outcomes["grown"] += len(prefixes) > 1
+            outcomes["fallback"] += got.balance_fallback_used
+        # the random cases reach every branch: a grown prefix, an error and a fallback
+        assert min(outcomes.values()) >= 10, outcomes
 
 
 class TestWeights:
