@@ -203,6 +203,7 @@ def _report_for_problem(problem: LocalProblem, boot: BootstrapConfig, naive_ci: 
     diagnostics = {
         "m": problem.m,
         "q": problem.basis.q,
+        "live_terms": int(problem.live_columns.size),
         "effective_rank": fit.effective_rank,
         "condition": fit.condition,
         "ill_conditioned": fit.ill_conditioned,

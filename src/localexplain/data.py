@@ -374,7 +374,11 @@ def load_dataset(
     if isinstance(source, bytes):
         source = io.StringIO(source.decode("utf-8"))
     elif isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-        source = io.TextIOWrapper(source, encoding="utf-8", newline="")
+        text = io.TextIOWrapper(source, encoding="utf-8", newline="")
+        try:
+            return QueryDataset(schema, *_parse_rows(text, schema, output_column))
+        finally:
+            text.detach()  # left attached, the wrapper closes the caller's stream when collected
     return QueryDataset(schema, *_parse_rows(source, schema, output_column))
 
 

@@ -41,6 +41,7 @@ from .polyfit import (
     PointFit,
     expand_basis,
     lstsq_min_norm,
+    single_threaded_blas,
     solve_system,
     weighted_system,
 )
@@ -150,16 +151,17 @@ class LocalProblem:
         self.y = targets
         weights = compute_weights(self.neighborhood.distances) if config.weighted else None
         self.Xw, self.yw = weighted_system(self.X, self.y, weights)
+        self.live_columns = np.flatnonzero((self.Xw != 0).any(axis=0))
         self.query_enc = self.layout.encode(
             self.query_std.numeric.reshape(1, -1), self.query_std.codes.reshape(1, -1)
         )[0]
         self.deltas = self._resolve_deltas()
         self.score_names, self.score_kinds, self.plus, self.minus = self._score_matrices()
         self.notes: dict[str, object] = {}
-        if config.m < self.basis.q:
+        if config.m < self.live_columns.size:
             warnings.warn(
-                f"neighborhood size m={config.m} is below the basis size q={self.basis.q}; "
-                "the local fit is underdetermined",
+                f"neighborhood size m={config.m} is below the {self.live_columns.size} live "
+                f"basis terms (q={self.basis.q}); the local fit is underdetermined",
                 RuntimeWarning,
                 stacklevel=3,
             )
@@ -274,13 +276,17 @@ class LocalProblem:
         the (B, q) coefficient matrix and the (B,) effective ranks.  Rows are
         pre-scaled by sqrt-weights when the problem is weighted, so a subset
         fit uses the same weighting mode as the point estimate.  Subsets are
-        solved one at a time: stacking them would hold B copies of the
-        design matrix in memory.
+        solved one at a time on one BLAS thread: stacking them would hold B
+        copies of the design matrix in memory.  A column zero on every row
+        (``live_columns`` are the others) gets the exact minimum-norm 0.
         """
-        coefficients = np.empty((row_indices.shape[0], self.basis.q))
+        live = self.live_columns
+        Xw = self.Xw[:, live]
+        coefficients = np.zeros((row_indices.shape[0], self.basis.q))
         ranks = np.empty(row_indices.shape[0], dtype=np.int64)
-        for b, rows in enumerate(row_indices):
-            coefficients[b], ranks[b] = lstsq_min_norm(self.Xw[rows], self.yw[rows])
+        with single_threaded_blas():
+            for b, rows in enumerate(row_indices):
+                coefficients[b, live], ranks[b] = lstsq_min_norm(Xw[rows], self.yw[rows])
         return coefficients, ranks
 
     # -- naive closed-form interval -----------------------------------------

@@ -3,12 +3,15 @@
 import gc
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import localexplain
 from localexplain.cli import EXIT_ERROR, EXIT_OK, EXIT_PARTIAL, THREADS_ENV, main
 from localexplain.data import FeatureSchema, FeatureSpec, load_dataset
 from localexplain.explain import ExplainConfig, build_problem
@@ -130,6 +133,8 @@ class TestExplain:
             assert iv["lower"] <= iv["upper"]
         meta = report["metadata"]
         assert set(meta) >= {"k", "m", "c", "B", "alpha", "seed", "weighted", "diagnostics"}
+        # k=1 over x1, x2 and two color indicators: no term is zero on every row
+        assert meta["diagnostics"]["live_terms"] == meta["diagnostics"]["q"] == 5
         assert set(report["manifest"]) == {"command", "parameters", "input_digests", "version"}
 
     def test_inline_json_query_and_exact_scores(self, tmp_path):
@@ -231,6 +236,28 @@ class TestExplain:
         lines = dump.read_text().splitlines()
         assert lines[0] == "x"
         assert len(lines) == 31  # header + B successful replicates
+
+    def test_replicate_scores_ignore_the_blas_thread_setting(self, tmp_path):
+        data, schema = tmp_path / "sim.csv", tmp_path / "schema.json"
+        assert main(["simulate", "--n", "400", "--seed", "4",
+                     "--data-out", str(data), "--schema-out", str(schema)]) == EXIT_OK
+        src = os.path.dirname(os.path.dirname(localexplain.__file__))
+        dumps = []
+        for blas_threads in ("1", None):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            if blas_threads:
+                env["OPENBLAS_NUM_THREADS"] = blas_threads
+            dump = tmp_path / f"scores_{blas_threads}.csv"
+            subprocess.run([
+                sys.executable, "-m", "localexplain.cli", "explain",
+                "--data", str(data), "--schema", str(schema), "--query", "3",
+                "--k", "4", "--m", "66", "--B", "100", "--seed", "8",
+                "--out", str(tmp_path / "report.json"), "--dump-scores", str(dump),
+            ], env=env, check=True, capture_output=True, timeout=120)
+            dumps.append(dump.read_bytes())
+        assert len(dumps[0].splitlines()) > 80
+        assert dumps[0] == dumps[1]
 
     def test_closes_every_file_it_opens(self, tmp_path, monkeypatch):
         # a file left open warns when it is garbage-collected, outside any

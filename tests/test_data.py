@@ -1,5 +1,6 @@
 """Ingestion, schema validation, and preprocessing transforms."""
 
+import gc
 import io
 import json
 import math
@@ -196,6 +197,18 @@ class TestLoadDataset:
         )
         ds = load_dataset(b"c,f\na,0\nb,1\nb,2\n", schema)
         assert ds.schema.feature("c").baseline == "b"
+
+    @pytest.mark.parametrize("text", [b"x1,x2,f\n1,2,3\n", b"x1,x2,f\n1,bad,3\n"])
+    def test_binary_stream_stays_open(self, text):
+        stream = io.BytesIO(text)
+        try:
+            load_dataset(stream, two_feature_schema())
+        except DataError:
+            assert b"bad" in text
+        gc.collect()
+        assert not stream.closed
+        stream.seek(0)
+        assert stream.read() == text
 
 
 def parity_schema():

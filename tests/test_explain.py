@@ -5,7 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from localexplain import sim
+from localexplain.bootstrap import replicate_indices
 from localexplain.data import FeatureSchema, FeatureSpec, QueryDataset, from_log_odds
 from localexplain.explain import (
     ExplainConfig,
@@ -13,6 +16,7 @@ from localexplain.explain import (
     build_problem,
 )
 from localexplain.neighborhood import QueryPoint
+from localexplain.polyfit import lstsq_min_norm
 
 Z_95 = 1.959963985
 
@@ -413,6 +417,29 @@ class TestFailureModes:
         with pytest.warns(RuntimeWarning, match="underdetermined"):
             build_problem(ds, q, ExplainConfig(degree=2, m=4))
 
+    @pytest.mark.parametrize("n", [7, 6])
+    def test_underdetermined_counts_live_terms(self, n):
+        # x1 and a 3-level categorical at degree 2: q=8, one of them the
+        # product of the categorical's two indicators, zero on every row
+        schema = FeatureSchema((
+            FeatureSpec("x1", "continuous"),
+            FeatureSpec("color", "categorical", categories=("a", "b", "c"), baseline="a"),
+        ))
+        x = np.linspace(-1.0, 1.0, n).reshape(-1, 1)
+        codes = (np.arange(n) % 3).reshape(-1, 1)
+        ds = QueryDataset(schema, x, codes, x[:, 0] ** 2 + codes[:, 0])
+        q = QueryPoint.from_row(ds, 0)
+        config = ExplainConfig(degree=2, m=n, weighted=False, balance=False)
+        if n == 7:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                problem = build_problem(ds, q, config)
+        else:
+            message = "m=6 is below the 7 live basis terms \\(q=8\\)"
+            with pytest.warns(RuntimeWarning, match=message):
+                problem = build_problem(ds, q, config)
+        assert (problem.basis.q, problem.live_columns.size) == (8, 7)
+
     def test_surrogate_diagnostics_exposed(self):
         rng = np.random.default_rng(61)
         ds = linear_dataset(rng, 50, 0.0, [1.0], noise=0.1)
@@ -421,3 +448,47 @@ class TestFailureModes:
         assert fit.effective_rank == 2
         assert np.isfinite(fit.condition)
         assert not fit.ill_conditioned
+
+
+class TestReplicateSolve:
+    """``solve_rows`` against a full-basis ``lstsq_min_norm`` loop, the solve it replaces."""
+
+    @staticmethod
+    def full_basis_loop(problem, index):
+        coefficients = np.empty((index.shape[0], problem.basis.q))
+        ranks = np.empty(index.shape[0], dtype=np.int64)
+        for b, rows in enumerate(index):
+            coefficients[b], ranks[b] = lstsq_min_norm(problem.Xw[rows], problem.yw[rows])
+        return coefficients, ranks
+
+    @pytest.mark.parametrize("row, k, m, c, B", [
+        (0, 4, 66, 0.9, 500),  # the paper's settings
+        (1, 4, 66, 0.9, 500),
+        (2, 2, 64, 0.5, 200),  # k=2 and k=3 cells of the desk grid
+        (3, 2, 64, 0.5, 100),  # holds one rank-deficient replicate that rounding hides in one basis
+        (4, 3, 32, 0.3, 200),
+        (5, 3, 128, 0.9, 200),
+    ])
+    def test_matches_the_full_basis_solve(self, row, k, m, c, B):
+        ds = sim.generate_dataset(2000, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # m < q at k=4
+            problem = build_problem(
+                ds, QueryPoint.from_row(ds, row), ExplainConfig(degree=k, m=m, kind="gradient")
+            )
+        index = replicate_indices(row, B, problem.m, int(np.floor(c * problem.m)))
+        coefficients, ranks = problem.solve_rows(index)
+        ref_coefficients, ref_ranks = self.full_basis_loop(problem, index)
+
+        dead = np.setdiff1d(np.arange(problem.basis.q), problem.live_columns)
+        assert dead.size > 0
+        assert (coefficients[:, dead] == 0).all() and (ref_coefficients[:, dead] == 0).all()
+        # gelsy's rank cutoff sits at float64 eps, so where a replicate is
+        # singular only up to rounding the two bases may call its rank differently
+        for b in np.flatnonzero(ranks != ref_ranks):
+            sv = scipy.linalg.svdvals(problem.Xw[index[b]][:, problem.live_columns])
+            assert sv[-1] < 1e-14 * sv[0]
+        same = ranks == ref_ranks
+        scores = problem.scores_from_coefficients(coefficients[same])
+        ref_scores = problem.scores_from_coefficients(ref_coefficients[same])
+        assert (np.abs(scores - ref_scores) <= 1e-7 * np.abs(ref_scores).max(axis=0)).all()
