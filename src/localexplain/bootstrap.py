@@ -12,8 +12,8 @@ A run draws all B member subsets at once from one counter-based stream
 floor(c * m) positions of an argsort of m uniform keys.  Row b of the index
 matrix depends only on the seed and b, so the replicates do not depend on
 execution order and the first b rows are the same for every B >= b.
-Each subset is then refit by a direct LAPACK gelsy call, on one BLAS thread
-and over the live basis columns only, and all replicates are scored at once.
+Each subset is then refit by a direct LAPACK gelsy call over the live basis
+columns only, and all replicates are scored at once.
 """
 
 from __future__ import annotations

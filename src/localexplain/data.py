@@ -371,15 +371,16 @@ def load_dataset(
                 stream.seek(0)
                 parsed = _parse_rows(stream, schema, output_column)
         return QueryDataset(schema, *parsed)
+    wrapper = None
     if isinstance(source, bytes):
         source = io.StringIO(source.decode("utf-8"))
     elif isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-        text = io.TextIOWrapper(source, encoding="utf-8", newline="")
-        try:
-            return QueryDataset(schema, *_parse_rows(text, schema, output_column))
-        finally:
-            text.detach()  # left attached, the wrapper closes the caller's stream when collected
-    return QueryDataset(schema, *_parse_rows(source, schema, output_column))
+        source = wrapper = io.TextIOWrapper(source, encoding="utf-8", newline="")
+    try:
+        return QueryDataset(schema, *_parse_rows(source, schema, output_column))
+    finally:
+        if wrapper is not None:
+            wrapper.detach()  # left attached, the wrapper closes the caller's stream when collected
 
 
 def read_csv_header(reader, names, source: str = "CSV") -> tuple[list[str], dict[str, int]]:

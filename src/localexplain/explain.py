@@ -41,7 +41,6 @@ from .polyfit import (
     PointFit,
     expand_basis,
     lstsq_min_norm,
-    single_threaded_blas,
     solve_system,
     weighted_system,
 )
@@ -276,17 +275,16 @@ class LocalProblem:
         the (B, q) coefficient matrix and the (B,) effective ranks.  Rows are
         pre-scaled by sqrt-weights when the problem is weighted, so a subset
         fit uses the same weighting mode as the point estimate.  Subsets are
-        solved one at a time on one BLAS thread: stacking them would hold B
-        copies of the design matrix in memory.  A column zero on every row
-        (``live_columns`` are the others) gets the exact minimum-norm 0.
+        solved one at a time: stacking them would hold B copies of the design
+        matrix in memory.  A column zero on every row (``live_columns`` are
+        the others) gets the exact minimum-norm 0 without entering the solve.
         """
         live = self.live_columns
         Xw = self.Xw[:, live]
         coefficients = np.zeros((row_indices.shape[0], self.basis.q))
         ranks = np.empty(row_indices.shape[0], dtype=np.int64)
-        with single_threaded_blas():
-            for b, rows in enumerate(row_indices):
-                coefficients[b, live], ranks[b] = lstsq_min_norm(Xw[rows], self.yw[rows])
+        for b, rows in enumerate(row_indices):
+            coefficients[b, live], ranks[b] = lstsq_min_norm(Xw[rows], self.yw[rows])
         return coefficients, ranks
 
     # -- naive closed-form interval -----------------------------------------

@@ -13,14 +13,13 @@ number are surfaced in the :class:`PointFit` record instead of failing the fit.
 
 A weighted fit is :func:`weighted_system` followed by :func:`lstsq_min_norm`;
 :func:`solve_system` adds the diagnostics of a local problem's point fit.
-Bootstrap replicates solve inside :func:`single_threaded_blas`.
+Bootstrap replicates call :func:`lstsq_min_norm` on the live columns only,
+those not zero on every row of the weighted neighborhood.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import threading
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -36,10 +35,6 @@ _GELSY, _GELSY_LWORK = get_lapack_funcs(("gelsy", "gelsy_lwork"), (np.empty((1, 
 
 #: gelsy's rank cutoff, the default ``cond`` of ``scipy.linalg.lstsq``.
 _RCOND = float(np.finfo(np.float64).eps)
-
-
-_PIN_LOCK = threading.Lock()
-_pin = {"depth": 0, "previous": []}
 
 
 class FitError(ValueError):
@@ -219,45 +214,3 @@ def solve_system(Xw: np.ndarray, yw: np.ndarray) -> PointFit:
         effective_rank=rank,
         condition=condition,
     )
-
-
-@functools.cache
-def _openblas_thread_setters() -> tuple:
-    """``openblas_set_num_threads_local`` of each OpenBLAS mapped into the process."""
-    import ctypes
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = {line.split(None, 5)[-1].strip() for line in maps if "openblas" in line.rsplit("/", 1)[-1]}
-    except OSError:  # no /proc: not Linux
-        return ()
-    setters = []
-    for path in sorted(paths):
-        try:
-            setter = ctypes.CDLL(path).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-        setters.append(setter)
-    return tuple(setters)
-
-
-@contextlib.contextmanager
-def single_threaded_blas():
-    """Run the block with every OpenBLAS in the process on one thread; a no-op without one.
-
-    ``openblas_set_num_threads_local`` is process-wide despite its name, so the
-    first block in sets 1 and the last out restores the counts it returned.
-    """
-    setters = _openblas_thread_setters()
-    with _PIN_LOCK:
-        if _pin["depth"] == 0:
-            _pin["previous"] = [set_threads(1) for set_threads in setters]
-        _pin["depth"] += 1
-    try:
-        yield
-    finally:
-        with _PIN_LOCK:
-            _pin["depth"] -= 1
-            if _pin["depth"] == 0:
-                for set_threads, previous in zip(setters, _pin["previous"]):
-                    set_threads(previous)

@@ -242,6 +242,8 @@ class TestExplain:
         assert main(["simulate", "--n", "400", "--seed", "4",
                      "--data-out", str(data), "--schema-out", str(schema)]) == EXIT_OK
         src = os.path.dirname(os.path.dirname(localexplain.__file__))
+        # m=256 at k=4: each replicate is 230 rows by ~79 live columns, large
+        # enough that a multi-threaded OpenBLAS splits gelsy's level-2 calls
         dumps = []
         for blas_threads in ("1", None):
             env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
@@ -252,7 +254,7 @@ class TestExplain:
             subprocess.run([
                 sys.executable, "-m", "localexplain.cli", "explain",
                 "--data", str(data), "--schema", str(schema), "--query", "3",
-                "--k", "4", "--m", "66", "--B", "100", "--seed", "8",
+                "--k", "4", "--m", "256", "--B", "100", "--seed", "8",
                 "--out", str(tmp_path / "report.json"), "--dump-scores", str(dump),
             ], env=env, check=True, capture_output=True, timeout=120)
             dumps.append(dump.read_bytes())

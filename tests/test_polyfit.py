@@ -1,20 +1,16 @@
 """Basis expansion, least-squares fitting, and analytic derivatives."""
 
-import sys
-import threading
 from itertools import product
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from localexplain import polyfit
 from localexplain.polyfit import (
     FitError,
     MonomialBasis,
     expand_basis,
     lstsq_min_norm,
-    single_threaded_blas,
     solve_system,
     weighted_system,
 )
@@ -315,71 +311,3 @@ class TestMinNormSolver:
     def test_target_shape_mismatch_rejected(self):
         with pytest.raises(FitError):
             lstsq_min_norm(np.ones((4, 2)), np.ones(3))
-
-
-class TestSingleThreadedBlas:
-    """Each setter returns the thread count it replaces, which is how these tests read it."""
-
-    @pytest.fixture
-    def setters(self):
-        setters = polyfit._openblas_thread_setters()
-        if not setters:
-            pytest.skip("no OpenBLAS with openblas_set_num_threads_local is loaded")
-        original = [set_threads(2) for set_threads in setters]
-        yield setters
-        for set_threads, value in zip(setters, original):
-            set_threads(value)
-
-    @staticmethod
-    def read(setters, value):
-        """Every library's current count, leaving ``value`` in its place."""
-        return [set_threads(value) for set_threads in setters]
-
-    def test_one_thread_inside_and_restored_after(self, setters):
-        with single_threaded_blas():
-            assert self.read(setters, 1) == [1] * len(setters)
-        assert self.read(setters, 2) == [2] * len(setters)
-
-    def test_restored_after_an_exception(self, setters):
-        with pytest.raises(FitError):
-            with single_threaded_blas():
-                assert self.read(setters, 1) == [1] * len(setters)
-                raise FitError("inside the block")
-        assert self.read(setters, 2) == [2] * len(setters)
-
-    def test_nested_and_concurrent_blocks_restore_once(self, setters):
-        inside: list[list[int]] = []
-        errors: list[BaseException] = []
-
-        def work():
-            try:
-                for _ in range(200):
-                    with single_threaded_blas():
-                        with single_threaded_blas():
-                            inside.append(self.read(setters, 1))
-            except BaseException as exc:  # reported by the assertion below
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work) for _ in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        # a block that restored while another was open would leave 2 visible inside
-        assert len(inside) == 800 and all(seen == [1] * len(setters) for seen in inside)
-        assert self.read(setters, 2) == [2] * len(setters)
-
-    def test_no_op_without_openblas(self, monkeypatch):
-        monkeypatch.setattr(polyfit, "_openblas_thread_setters", lambda: ())
-        with single_threaded_blas():
-            X = np.arange(12.0).reshape(4, 3)
-            coef, rank = lstsq_min_norm(X, X @ np.ones(3))
-        assert rank == 2
-        np.testing.assert_allclose(X @ coef, X @ np.ones(3))
