@@ -210,7 +210,10 @@ def _report_for_problem(problem: LocalProblem, boot: BootstrapConfig, naive_ci: 
         "rss": fit.rss,
         "failed_replicates": dist.failed_replicates,
         "balance_fallback_used": problem.neighborhood.balance_fallback_used,
+        "replicate_solve": problem.replicate_solve,
     }
+    if problem.row_condition is not None:
+        diagnostics["row_condition"] = problem.row_condition
     if naive_skipped:
         diagnostics["naive_ci_skipped"] = naive_skipped
     diagnostics.update(problem.notes)

@@ -20,7 +20,11 @@ Every score is ``link(beta . plus) - link(beta . minus)`` for two fixed
 basis-space vectors, so a problem's scores are two (q, n_scores) matrices
 applied to the coefficient vector.  That is what makes bootstrap replicates
 cheap: refit the coefficients on a sub-neighborhood and re-apply the same
-matrices.
+matrices.  The refits themselves are one gelsy call each, or, when the
+neighborhood's nonzero weighted rows have full row rank with condition
+number at most ``ROW_CONDITION_MAX`` (1e8), downdates of its minimum-norm
+interpolant (:meth:`LocalProblem.solve_rows`).  Where both give a replicate
+the same rank, its scores agree to 1e-7 of each score's largest magnitude.
 """
 
 from __future__ import annotations
@@ -52,6 +56,17 @@ BASELINE_DIFFERENCE = "baseline_difference"
 #: Default perturbation step, as a fraction of a feature's raw sample
 #: stddev, used when neither the schema nor the config supplies a delta.
 DEFAULT_DELTA_FRACTION = 0.5
+
+#: Replicates are solved by downdating the neighborhood's interpolant only
+#: when its nonzero weighted rows have at most this condition number.  By
+#: singular-value interlacing no replicate's rows are worse conditioned,
+#: which keeps them 8 digits clear of gelsy's float64-eps rank cutoff.
+ROW_CONDITION_MAX = 1e8
+
+#: Upper bound on the bytes of one stack of columns that the downdate
+#: factors in a single batched QR.  Larger stacks raise peak memory (the QR
+#: holds several copies) and run no faster.
+_DOWNDATE_CHUNK_BYTES = 1 << 17
 
 
 class ExplainError(RuntimeError):
@@ -268,24 +283,102 @@ class LocalProblem:
             for name, kind, v in zip(self.score_names, self.score_kinds, values)
         ]
 
+    @functools.cached_property
+    def _row_svd(self) -> tuple[np.ndarray, float, tuple[np.ndarray, ...] | None] | None:
+        """Thin SVD ``U S V'`` of the nonzero weighted rows, for the replicate downdate.
+
+        Returns the indices of the rows of ``Xw`` that are not all zero, their
+        condition number over the live columns, and the factors
+        ``(U / S, z, V')``.  In the coordinates of ``V``, row i of ``U / S``
+        is the pseudo-inverse's column for nonzero row i, and ``V z`` is the
+        minimum-norm interpolant.  The factors are None when the condition
+        is above ``ROW_CONDITION_MAX``.  The whole record is None, and no
+        SVD is taken, when those rows outnumber the live columns.
+        """
+        nonzero = np.flatnonzero((self.Xw != 0).any(axis=1))
+        if nonzero.size > self.live_columns.size:
+            return None
+        u, s, vt = np.linalg.svd(self.Xw[np.ix_(nonzero, self.live_columns)], full_matrices=False)
+        condition = float(s[0] / s[-1]) if s[-1] > 0 else math.inf
+        if not condition <= ROW_CONDITION_MAX:
+            return nonzero, condition, None
+        return nonzero, condition, (u / s, (self.yw[nonzero] @ u) / s, vt)
+
+    @property
+    def row_condition(self) -> float | None:
+        """Condition number of the nonzero weighted rows, over the live columns.
+
+        None when those rows outnumber the live columns: the replicates then
+        take the gelsy loop without it being computed.
+        """
+        return None if self._row_svd is None else self._row_svd[1]
+
+    @property
+    def replicate_solve(self) -> str:
+        """``"downdate"`` or ``"gelsy"``: how :meth:`solve_rows` solves the replicates."""
+        return "gelsy" if self._row_svd is None or self._row_svd[2] is None else "downdate"
+
     def solve_rows(self, row_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Minimum-norm LS coefficients on row subsets of the neighborhood.
 
         ``row_indices`` is a (B, m') matrix with one subset per row; returns
         the (B, q) coefficient matrix and the (B,) effective ranks.  Rows are
         pre-scaled by sqrt-weights when the problem is weighted, so a subset
-        fit uses the same weighting mode as the point estimate.  Subsets are
-        solved one at a time: stacking them would hold B copies of the design
-        matrix in memory.  A column zero on every row (``live_columns`` are
-        the others) gets the exact minimum-norm 0 without entering the solve.
+        fit uses the same weighting mode as the point estimate.  A column
+        zero on every row (``live_columns`` are the others) gets the exact
+        minimum-norm 0 without entering the solve.
+
+        When the nonzero weighted rows are no more than the live columns and
+        their condition is at most ``ROW_CONDITION_MAX`` (see
+        :attr:`replicate_solve`), the subsets are solved together by
+        :meth:`_downdate`.  Otherwise each subset is one gelsy call, one at
+        a time: stacking them would hold B copies of the design matrix.
         """
         live = self.live_columns
-        Xw = self.Xw[:, live]
         coefficients = np.zeros((row_indices.shape[0], self.basis.q))
+        if self.replicate_solve == "downdate":
+            coefficients[:, live], ranks = self._downdate(row_indices)
+            return coefficients, ranks
+        Xw = self.Xw[:, live]
         ranks = np.empty(row_indices.shape[0], dtype=np.int64)
         for b, rows in enumerate(row_indices):
             coefficients[b, live], ranks[b] = lstsq_min_norm(Xw[rows], self.yw[rows])
         return coefficients, ranks
+
+    def _downdate(self, row_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Replicate fits over the live columns as downdates of the interpolant.
+
+        The nonzero rows have full row rank, so the full fit ``beta = V z``
+        interpolates them, and a subset's minimum-norm fit is ``beta`` less
+        its projection onto the pseudo-inverse columns of the nonzero rows
+        it drops (those columns span the part of the row space that the kept
+        rows lose).  Both lie in the span of ``V``, so the projection is
+        taken on ``z``, in coordinates with one entry per nonzero row instead
+        of one per live term.  It goes through a batched QR of the columns,
+        never their Gram matrix, which would square their condition.
+        Subsets are grouped by drop count and stacked in chunks of at most
+        ``_DOWNDATE_CHUNK_BYTES``.  A subset's rank is the number of nonzero
+        rows it keeps.
+        """
+        nonzero, _, (pinv_rows, z, vt) = self._row_svd
+        n_subsets = row_indices.shape[0]
+        member = np.zeros((n_subsets, self.m), dtype=bool)
+        np.put_along_axis(member, row_indices, True, axis=1)
+        dropped = ~member[:, nonzero]
+        drop_counts = dropped.sum(axis=1)
+        out = np.empty((n_subsets, z.size))
+        for count in np.unique(drop_counts):
+            subsets = np.flatnonzero(drop_counts == count)
+            if count == 0:
+                out[subsets] = z
+                continue
+            positions = np.nonzero(dropped[subsets])[1].reshape(subsets.size, count)
+            chunk = max(1, _DOWNDATE_CHUNK_BYTES // (8 * z.size * count))
+            for start in range(0, subsets.size, chunk):
+                # `chunk` stacks of the dropped rows' columns, each (nonzero rows, count)
+                q = np.linalg.qr(pinv_rows[positions[start:start + chunk]].transpose(0, 2, 1)).Q
+                out[subsets[start:start + chunk]] = z - (q @ (z @ q)[:, :, None])[:, :, 0]
+        return out @ vt, nonzero.size - drop_counts
 
     # -- naive closed-form interval -----------------------------------------
 

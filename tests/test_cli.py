@@ -135,7 +135,21 @@ class TestExplain:
         assert set(meta) >= {"k", "m", "c", "B", "alpha", "seed", "weighted", "diagnostics"}
         # k=1 over x1, x2 and two color indicators: no term is zero on every row
         assert meta["diagnostics"]["live_terms"] == meta["diagnostics"]["q"] == 5
+        # 44 nonzero weighted rows against 5 live terms: no downdate, no row SVD
+        assert meta["diagnostics"]["replicate_solve"] == "gelsy"
+        assert "row_condition" not in meta["diagnostics"]
         assert set(report["manifest"]) == {"command", "parameters", "input_digests", "version"}
+
+        # 11 nonzero weighted rows against 22 live terms at k=3
+        with pytest.warns(RuntimeWarning, match="underdetermined"):
+            code = main([
+                "explain", "--data", data, "--schema", schema, "--query", "0",
+                "--k", "3", "--m", "12", "--B", "60", "--seed", "5", "--out", str(out),
+            ])
+        assert code == EXIT_OK
+        diagnostics = json.loads(out.read_text())["metadata"]["diagnostics"]
+        assert diagnostics["replicate_solve"] == "downdate"
+        assert 1.0 <= diagnostics["row_condition"] <= 1e8
 
     def test_inline_json_query_and_exact_scores(self, tmp_path):
         data, schema = write_mixed_inputs(tmp_path)
@@ -243,23 +257,28 @@ class TestExplain:
                      "--data-out", str(data), "--schema-out", str(schema)]) == EXIT_OK
         src = os.path.dirname(os.path.dirname(localexplain.__file__))
         # m=256 at k=4: each replicate is 230 rows by ~79 live columns, large
-        # enough that a multi-threaded OpenBLAS splits gelsy's level-2 calls
-        dumps = []
-        for blas_threads in ("1", None):
-            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            if blas_threads:
-                env["OPENBLAS_NUM_THREADS"] = blas_threads
-            dump = tmp_path / f"scores_{blas_threads}.csv"
-            subprocess.run([
-                sys.executable, "-m", "localexplain.cli", "explain",
-                "--data", str(data), "--schema", str(schema), "--query", "3",
-                "--k", "4", "--m", "256", "--B", "100", "--seed", "8",
-                "--out", str(tmp_path / "report.json"), "--dump-scores", str(dump),
-            ], env=env, check=True, capture_output=True, timeout=120)
-            dumps.append(dump.read_bytes())
-        assert len(dumps[0].splitlines()) > 80
-        assert dumps[0] == dumps[1]
+        # enough that a multi-threaded OpenBLAS splits gelsy's level-2 calls.
+        # m=66 at k=4 is the paper's setting, where the replicates are
+        # downdates of the neighborhood's interpolant.
+        for m, solve in (("256", "gelsy"), ("66", "downdate")):
+            dumps = []
+            for blas_threads in ("1", None):
+                env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+                env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+                if blas_threads:
+                    env["OPENBLAS_NUM_THREADS"] = blas_threads
+                dump = tmp_path / f"scores_{m}_{blas_threads}.csv"
+                report = tmp_path / "report.json"
+                subprocess.run([
+                    sys.executable, "-m", "localexplain.cli", "explain",
+                    "--data", str(data), "--schema", str(schema), "--query", "3",
+                    "--k", "4", "--m", m, "--B", "100", "--seed", "8",
+                    "--out", str(report), "--dump-scores", str(dump),
+                ], env=env, check=True, capture_output=True, timeout=120)
+                assert json.loads(report.read_text())["metadata"]["diagnostics"]["replicate_solve"] == solve
+                dumps.append(dump.read_bytes())
+            assert len(dumps[0].splitlines()) > 80
+            assert dumps[0] == dumps[1]
 
     def test_closes_every_file_it_opens(self, tmp_path, monkeypatch):
         # a file left open warns when it is garbage-collected, outside any

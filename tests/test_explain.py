@@ -471,12 +471,27 @@ class TestReplicateSolve:
     ])
     def test_matches_the_full_basis_solve(self, row, k, m, c, B, rank_changes):
         """``rank_changes`` caps the replicates whose rank may differ between the two bases."""
+        self.check_against_full_basis(row, k, m, c, B, rank_changes, weighted=True)
+
+    @pytest.mark.parametrize("row, k, m, c, weighted", [
+        (1, 4, 66, 0.9, False),  # the paper's settings without a zero-weight row
+        (6, 4, 32, 0.3, True),  # about 22 dropped rows per replicate
+        (7, 3, 32, 0.9, True),
+    ])
+    def test_downdate_cells_match_the_full_basis_solve(self, row, k, m, c, weighted):
+        self.check_against_full_basis(row, k, m, c, 200, 0, weighted)
+
+    def check_against_full_basis(self, row, k, m, c, B, rank_changes, weighted):
         ds = sim.generate_dataset(2000, 0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # m < q at k=4
-            problem = build_problem(
-                ds, QueryPoint.from_row(ds, row), ExplainConfig(degree=k, m=m, kind="gradient")
-            )
+            problem = build_problem(ds, QueryPoint.from_row(ds, row), ExplainConfig(
+                degree=k, m=m, kind="gradient", weighted=weighted,
+            ))
+        # the downdate needs the nonzero rows to be no more than the live
+        # terms; row 0 at k=4, m=66 has dependent rows
+        downdate = m <= problem.live_columns.size and (row, k, m) != (0, 4, 66)
+        assert problem.replicate_solve == ("downdate" if downdate else "gelsy")
         index = replicate_indices(row, B, problem.m, int(np.floor(c * problem.m)))
         coefficients, ranks = problem.solve_rows(index)
         ref_coefficients, ref_ranks = self.full_basis_loop(problem, index)
@@ -494,3 +509,113 @@ class TestReplicateSolve:
         scores = problem.scores_from_coefficients(coefficients[same])
         ref_scores = problem.scores_from_coefficients(ref_coefficients[same])
         assert (np.abs(scores - ref_scores) <= 1e-7 * np.abs(ref_scores).max(axis=0)).all()
+
+
+class TestReplicateDowndateGate:
+    """Which replicate solve a problem takes, and what each gives at the gate's edges."""
+
+    @staticmethod
+    def paper_problem(ds, row, **overrides):
+        config = dict(degree=4, m=66, kind="gradient")
+        config.update(overrides)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # m < q at k=4
+            return build_problem(ds, QueryPoint.from_row(ds, row), ExplainConfig(**config))
+
+    @staticmethod
+    def live_column_loop(problem, index):
+        """One gelsy call per replicate over the live columns, the solve off the fast path."""
+        live = problem.live_columns
+        coefficients = np.zeros((index.shape[0], problem.basis.q))
+        ranks = np.empty(index.shape[0], dtype=np.int64)
+        for b, rows in enumerate(index):
+            coefficients[b, live], ranks[b] = lstsq_min_norm(
+                problem.Xw[rows][:, live], problem.yw[rows]
+            )
+        return coefficients, ranks
+
+    def assert_gelsy_loop(self, problem, seed):
+        assert problem.replicate_solve == "gelsy"
+        index = replicate_indices(seed, 100, problem.m, int(np.floor(0.9 * problem.m)))
+        coefficients, ranks = problem.solve_rows(index)
+        ref_coefficients, ref_ranks = self.live_column_loop(problem, index)
+        assert coefficients.tobytes() == ref_coefficients.tobytes()
+        assert (ranks == ref_ranks).all()
+
+    def test_dependent_rows_take_the_gelsy_loop(self):
+        ds = sim.generate_dataset(2000, 0)
+        # three exact copies of the query row join its neighborhood at distance 0
+        copies = [1, 1, 1]
+        ds = QueryDataset(
+            ds.schema,
+            np.vstack([ds.numeric, ds.numeric[copies]]),
+            np.vstack([ds.codes, ds.codes[copies]]),
+            np.concatenate([ds.outputs, ds.outputs[copies]]),
+        )
+        problem = self.paper_problem(ds, 1)
+        assert {2000, 2001, 2002} <= set(problem.neighborhood.member_indices.tolist())
+        assert problem.row_condition > 1e8
+        self.assert_gelsy_loop(problem, 1)
+
+    def test_condition_just_above_the_gate_takes_the_gelsy_loop(self):
+        problem = self.paper_problem(sim.generate_dataset(2000, 0), 13)
+        assert 1e8 < problem.row_condition < 1.1e8
+        self.assert_gelsy_loop(problem, 13)
+
+    def test_more_rows_than_live_terms_take_the_gelsy_loop(self):
+        problem = self.paper_problem(sim.generate_dataset(2000, 0), 1, degree=2, m=64)
+        assert problem.row_condition is None
+        self.assert_gelsy_loop(problem, 1)
+
+    def test_zero_weight_member_lowers_the_rank_by_one(self):
+        problem = self.paper_problem(sim.generate_dataset(2000, 0), 1)
+        assert problem.replicate_solve == "downdate"
+        zero_rows = np.flatnonzero(~(problem.Xw != 0).any(axis=1))
+        assert zero_rows.size == 1  # the farthest member has weight 0
+        m_prime = int(np.floor(0.9 * problem.m))
+        index = replicate_indices(1, 500, problem.m, m_prime)
+        coefficients, ranks = problem.solve_rows(index)
+        holds_zero = (index == zero_rows[0]).any(axis=1)
+        assert 0 < holds_zero.sum() < index.shape[0]
+        assert (ranks == np.where(holds_zero, m_prime - 1, m_prime)).all()
+
+        ref_coefficients, ref_ranks = self.live_column_loop(problem, index)
+        same = ranks == ref_ranks
+        assert same[holds_zero].sum() >= holds_zero.sum() - 1
+        scores = problem.scores_from_coefficients(coefficients[same])
+        ref_scores = problem.scores_from_coefficients(ref_coefficients[same])
+        assert (np.abs(scores - ref_scores) <= 1e-7 * np.abs(ref_scores).max(axis=0)).all()
+
+    def test_subsets_keeping_every_nonzero_row_or_none(self):
+        problem = self.paper_problem(sim.generate_dataset(2000, 0), 1)
+        assert problem.replicate_solve == "downdate"
+        zero_row = np.flatnonzero(~(problem.Xw != 0).any(axis=1))[0]
+        every_other = np.setdiff1d(np.arange(problem.m), [zero_row])
+        coefficients, ranks = problem.solve_rows(every_other[None, :])
+        ref_coefficients, ref_ranks = self.live_column_loop(problem, every_other[None, :])
+        assert ranks[0] == ref_ranks[0] == problem.m - 1
+        scores = problem.scores_from_coefficients(coefficients[0])
+        ref_scores = problem.scores_from_coefficients(ref_coefficients[0])
+        assert (np.abs(scores - ref_scores) <= 1e-7 * np.abs(ref_scores).max()).all()
+
+        # every nonzero row dropped: the interpolant less all of itself
+        coefficients, ranks = problem.solve_rows(np.array([[zero_row]]))
+        assert ranks[0] == 0
+        assert np.abs(coefficients).max() <= 1e-12 * np.abs(problem.point_fit.coefficients).max()
+
+    def test_exact_where_a_replicate_holds_the_zero_weight_row(self):
+        # gelsy's eps rank cutoff can count the exact zero row of this
+        # replicate as independent (rank 9, not 8); the downdate cannot
+        problem = self.paper_problem(sim.generate_dataset(2000, 3), 6, m=32)
+        assert problem.replicate_solve == "downdate"
+        rows = replicate_indices(6, 152, problem.m, int(np.floor(0.3 * problem.m)))[151]
+        zero_row = np.flatnonzero(~(problem.Xw != 0).any(axis=1))[0]
+        assert zero_row in rows
+        coefficients, ranks = problem.solve_rows(rows[None, :])
+        assert ranks[0] == rows.size - 1
+        live = problem.live_columns
+        exact = np.zeros(problem.basis.q)
+        exact[live] = np.linalg.lstsq(problem.Xw[rows][:, live], problem.yw[rows], rcond=1e-10)[0]
+        scores = problem.scores_from_coefficients(coefficients[0])
+        ref_scores = problem.scores_from_coefficients(exact)
+        assert (np.abs(scores - ref_scores) <= 1e-10 * np.abs(ref_scores).max()).all()
