@@ -12,14 +12,8 @@ A run draws all B member subsets at once from one counter-based stream
 floor(c * m) positions of an argsort of m uniform keys.  Row b of the index
 matrix depends only on the seed and b, so the replicates do not depend on
 execution order and the first b rows are the same for every B >= b.
-Each subset is then refit over the live basis columns only, and all
-replicates are scored at once.  ``LocalProblem.solve_rows`` picks the refit
-once per problem.  When the neighborhood's nonzero weighted rows are no more
-than the live terms and their condition number is at most 1e8, every subset
-is a downdate of the full minimum-norm interpolant (one SVD per problem, one
-small batched QR per subset); otherwise each subset is one LAPACK gelsy
-call.  Where the two agree on a replicate's rank, its scores differ by at
-most 1e-7 of each score's largest magnitude.
+All subsets are refit by ``LocalProblem.solve_rows``, which documents how,
+and all replicates are scored at once.
 """
 
 from __future__ import annotations

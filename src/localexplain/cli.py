@@ -40,7 +40,7 @@ from .bootstrap import (
     write_scores_csv,
 )
 from .data import DataError, FeatureSchema, load_dataset, read_csv_header, write_dataset_csv
-from .explain import GRADIENT, ExplainConfig, ExplainError, LocalProblem, build_problem
+from .explain import ExplainConfig, ExplainError, LocalProblem, build_problem
 from .neighborhood import BalanceError, QueryPoint
 from .polyfit import FitError
 from .sim import (
@@ -55,8 +55,6 @@ from .sim import (
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_PARTIAL = 3
-
-THREADS_ENV = "LOCALEXPLAIN_THREADS"
 
 _MASK64 = (1 << 64) - 1
 
@@ -94,17 +92,11 @@ def _manifest(command: str, parameters: dict, inputs: dict[str, str | None]) -> 
     )
 
 
-def _threads(args) -> int:
-    """``--threads``, else ``LOCALEXPLAIN_THREADS``, else the CPU count."""
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+def _pool_size(args) -> int:
+    """``--threads``, which must be a positive integer."""
+    if args.threads < 1:
+        raise ValueError(f"--threads must be a positive integer, got {args.threads}")
+    return args.threads
 
 
 def _parse_deltas(pairs: list[str]) -> dict[str, float]:
@@ -151,7 +143,6 @@ def _explain_config(args, deltas) -> ExplainConfig:
         balance=args.balance,
         balance_fallback=args.balance_fallback,
         deltas=deltas,
-        standardized_units=args.standardized_units,
     )
 
 
@@ -162,7 +153,6 @@ def _explain_parameters(args, deltas) -> dict:
         "seed": args.seed, "weighted": args.weighted, "kind": args.kind,
         "balance": args.balance, "balance_fallback": args.balance_fallback,
         "deltas": deltas, "output_column": args.output_column,
-        "standardized_units": args.standardized_units,
     }
 
 
@@ -182,13 +172,11 @@ def _report_for_problem(problem: LocalProblem, boot: BootstrapConfig, naive_ci: 
     naive = {}
     naive_skipped = None
     if naive_ci:
-        if problem.log_odds:
-            naive_skipped = "outputs are probabilities (log-odds targets)"
-        elif problem.config.kind != GRADIENT:
-            naive_skipped = "naive intervals cover gradient-kind scores only"
-        else:
+        try:
             for spec in problem.schema.numeric_features:
                 naive[spec.name] = problem.naive_interval(spec.name, boot.alpha)
+        except ExplainError as exc:
+            naive, naive_skipped = {}, str(exc)
     features = []
     for score in scores:
         entry: dict = {"name": score.feature, "kind": score.kind, "score": score.value}
@@ -271,7 +259,7 @@ def _read_query_rows(path: str, schema: FeatureSchema) -> list[dict[str, str]]:
 
 
 def cmd_summarize(args) -> int:
-    threads = _threads(args)
+    threads = _pool_size(args)
     schema = FeatureSchema.from_json(Path(args.schema).read_text(encoding="utf-8"))
     dataset = load_dataset(args.data, schema, output_column=args.output_column)
     deltas = _parse_deltas(args.delta)
@@ -349,6 +337,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    threads = _pool_size(args)
     grid = SweepGrid(
         k_values=_parse_list(args.k_list, int),
         m_values=_parse_list(args.m_list, int),
@@ -358,17 +347,15 @@ def cmd_sweep(args) -> int:
         B=args.B,
         alpha=args.alpha,
         seed=args.seed,
-        coverage_feature=args.coverage_feature,
     )
     baseline = read_baseline_csv(args.merge) if args.merge else []
-    records = run_sweep(grid, threads=_threads(args))
+    records = run_sweep(grid, threads=threads)
     manifest = _manifest(
         "sweep",
         {
             "k_list": list(grid.k_values), "m_list": list(grid.m_values),
             "c_list": list(grid.c_values), "n": grid.n, "p": grid.p, "B": grid.B,
             "alpha": grid.alpha, "seed": grid.seed,
-            "coverage_feature": grid.coverage_feature,
         },
         {"merge": args.merge},
     )
@@ -414,8 +401,6 @@ def _add_common_explain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", action="append", default=[], metavar="NAME=VALUE",
                    help="override the perturbation step for one feature (repeatable)")
     p.add_argument("--output-column", default="f", help="name of the output column in the CSV")
-    p.add_argument("--standardized-units", action="store_true",
-                   help="report gradient scores in standardized feature units")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("summarize", help="summarize scores/widths over a set of instances")
     _add_common_explain_flags(p)
     p.add_argument("--queries", required=True, help="CSV of query instances")
-    p.add_argument("--threads", type=int, default=None,
-                   help=f"worker threads (default: ${THREADS_ENV}, else the CPU count)")
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                   help="worker threads, a positive integer (default: the CPU count)")
     p.add_argument("--out", default=None, help="summary CSV path (default: stdout)")
     p.set_defaults(func=cmd_summarize)
 
@@ -462,10 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", type=int, default=500, help="bootstrap replicate count")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--coverage-feature", choices=["x1", "x2"], default="x1",
-                   help="which derivative the intervals are checked against")
-    p.add_argument("--threads", type=int, default=None,
-                   help=f"worker threads (default: ${THREADS_ENV}, else the CPU count)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads, a positive integer (default: 1)")
     p.add_argument("--merge", default=None,
                    help="CSV of external (method,avg_width,coverage) rows to overlay")
     p.add_argument("--sweep-out", required=True, help="sweep records CSV path")

@@ -20,11 +20,8 @@ Every score is ``link(beta . plus) - link(beta . minus)`` for two fixed
 basis-space vectors, so a problem's scores are two (q, n_scores) matrices
 applied to the coefficient vector.  That is what makes bootstrap replicates
 cheap: refit the coefficients on a sub-neighborhood and re-apply the same
-matrices.  The refits themselves are one gelsy call each, or, when the
-neighborhood's nonzero weighted rows have full row rank with condition
-number at most ``ROW_CONDITION_MAX`` (1e8), downdates of its minimum-norm
-interpolant (:meth:`LocalProblem.solve_rows`).  Where both give a replicate
-the same rank, its scores agree to 1e-7 of each score's largest magnitude.
+matrices.  :meth:`LocalProblem.solve_rows` describes how the refits are
+solved.
 """
 
 from __future__ import annotations
@@ -91,7 +88,6 @@ class ExplainConfig:
     balance: bool = True
     balance_fallback: bool = False
     deltas: Mapping[str, float] = field(default_factory=dict)
-    standardized_units: bool = False
     categorical_mode: str = "query"
 
     def __post_init__(self):
@@ -214,9 +210,7 @@ class LocalProblem:
                 col = self.layout.numeric_columns[spec.name]
                 sigma = self.stats.stddev(spec.name)
                 if config.kind == GRADIENT:
-                    v = self.basis.derivative_row(self.query_enc, col)
-                    if not config.standardized_units:
-                        v = v / sigma
+                    v = self.basis.derivative_row(self.query_enc, col) / sigma  # raw units
                     scores.append((spec.name, GRADIENT, v, np.zeros(self.basis.q)))
                 else:
                     step = self.deltas[spec.name] / sigma  # delta in standardized units
@@ -329,10 +323,12 @@ class LocalProblem:
         minimum-norm 0 without entering the solve.
 
         When the nonzero weighted rows are no more than the live columns and
-        their condition is at most ``ROW_CONDITION_MAX`` (see
+        their condition is at most ``ROW_CONDITION_MAX`` (1e8; see
         :attr:`replicate_solve`), the subsets are solved together by
         :meth:`_downdate`.  Otherwise each subset is one gelsy call, one at
         a time: stacking them would hold B copies of the design matrix.
+        Where both routes give a subset the same rank, its scores agree to
+        1e-7 of each score's largest magnitude.
         """
         live = self.live_columns
         coefficients = np.zeros((row_indices.shape[0], self.basis.q))

@@ -13,13 +13,8 @@ number are surfaced in the :class:`PointFit` record instead of failing the fit.
 
 A weighted fit is :func:`weighted_system` followed by :func:`lstsq_min_norm`;
 :func:`solve_system` adds the diagnostics of a local problem's point fit.
-Bootstrap replicates solve the live columns only, those not zero on every
-row of the weighted neighborhood.  They call :func:`lstsq_min_norm` one by
-one unless the neighborhood's nonzero rows are no more than the live
-columns and have condition number at most 1e8; then
-``LocalProblem.solve_rows`` downdates their minimum-norm interpolant
-instead.  Where both solves give a replicate the same rank, its scores
-agree to 1e-7 of each score's largest magnitude.
+Bootstrap replicates are solved by ``LocalProblem.solve_rows``, which
+describes when it calls :func:`lstsq_min_norm` and when it downdates.
 """
 
 from __future__ import annotations

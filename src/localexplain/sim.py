@@ -103,10 +103,9 @@ def generate_dataset(n: int, seed: int) -> QueryDataset:
 class SweepGrid:
     """The (k, m, c) grid plus the Monte Carlo scale of a coverage sweep.
 
-    ``coverage_feature`` selects which continuous feature's derivative the
-    intervals are checked against (x1 by default).  Every k, m, c, B and
-    alpha must pass :class:`ExplainConfig`'s and :class:`BootstrapConfig`'s
-    checks (their errors propagate), and every m must be at most n.
+    Every k, m, c, B and alpha must pass :class:`ExplainConfig`'s and
+    :class:`BootstrapConfig`'s checks (their errors propagate), and every m
+    must be at most n.
     """
 
     k_values: tuple[int, ...]
@@ -117,15 +116,12 @@ class SweepGrid:
     B: int = 500
     alpha: float = 0.05
     seed: int = 0
-    coverage_feature: str = "x1"
 
     def __post_init__(self):
         if not (self.k_values and self.m_values and self.c_values):
             raise ValueError("sweep grid must have at least one k, m, and c value")
         if self.p < 1:
             raise ValueError("query point count p must be >= 1")
-        if self.coverage_feature not in ("x1", "x2"):
-            raise ValueError("coverage_feature must be 'x1' or 'x2'")
         for k in self.k_values:
             for m in self.m_values:
                 ExplainConfig(degree=k, m=m)
@@ -161,24 +157,23 @@ def _unit_seed(seed: int, *key: int) -> int:
 
 
 def sample_query_points(grid: SweepGrid) -> tuple[list[QueryPoint], np.ndarray]:
-    """The shared coverage query points and the true derivative at each."""
+    """The shared coverage query points and the true dS/dx1 at each."""
     rng = np.random.default_rng(np.random.SeedSequence([grid.seed & _MASK64, 1]))
     numeric = rng.uniform(-QUERY_BOX, QUERY_BOX, size=(grid.p, 2))
     codes = rng.integers(0, 3, size=(grid.p, 2))
     points = [QueryPoint(numeric=numeric[j], codes=codes[j]) for j in range(grid.p)]
-    d1, d2 = ground_truth_gradient(
+    d1, _ = ground_truth_gradient(
         numeric[:, 0], numeric[:, 1], codes[:, 0] + 1, codes[:, 1] + 1
     )
-    truths = d1 if grid.coverage_feature == "x1" else d2
-    return points, np.atleast_1d(truths)
+    return points, np.atleast_1d(d1)
 
 
 def run_sweep(grid: SweepGrid, threads: int = 1) -> list[SweepRecord]:
     """Monte Carlo coverage/width records for both interval methods.
 
     For every (k, m, c) and every shared query point, computes the weighted
-    bootstrap interval and the unweighted naive interval for the coverage
-    feature's derivative and checks them against the analytic truth.  Deterministic for a fixed
+    bootstrap interval and the unweighted naive interval for the derivative
+    of x1 and checks them against the analytic truth.  Deterministic for a fixed
     grid (including across thread counts): every bootstrap run draws from a
     stream keyed by (seed, k-index, m-index, c-index, point-index).
     """
@@ -204,7 +199,7 @@ def run_sweep(grid: SweepGrid, threads: int = 1) -> list[SweepRecord]:
             except _POINT_ERRORS:
                 continue
             try:
-                iv = problem.naive_interval(grid.coverage_feature, grid.alpha)
+                iv = problem.naive_interval("x1", grid.alpha)
                 out[ki, n_c] = (iv.upper - iv.lower, iv.lower <= truth <= iv.upper)
             except _POINT_ERRORS:
                 pass
@@ -215,7 +210,7 @@ def run_sweep(grid: SweepGrid, threads: int = 1) -> list[SweepRecord]:
                         problem,
                         BootstrapConfig(B=grid.B, c=c, alpha=grid.alpha, seed=seed),
                     )
-                    iv = next(i for i in intervals if i.feature == grid.coverage_feature)
+                    iv = next(i for i in intervals if i.feature == "x1")
                     out[ki, ci] = (iv.upper - iv.lower, iv.lower <= truth <= iv.upper)
                 except _POINT_ERRORS:
                     pass

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import localexplain
-from localexplain.cli import EXIT_ERROR, EXIT_OK, EXIT_PARTIAL, THREADS_ENV, main
+from localexplain.cli import EXIT_ERROR, EXIT_OK, EXIT_PARTIAL, build_parser, main
 from localexplain.data import FeatureSchema, FeatureSpec, load_dataset
 from localexplain.explain import ExplainConfig, build_problem
 from localexplain.neighborhood import QueryPoint
@@ -168,6 +168,26 @@ class TestExplain:
         assert by_name["color"]["score"] == pytest.approx(0.5, abs=1e-7)
         assert "naive_interval" in by_name["x1"]
         assert "naive_interval" not in by_name["color"]
+
+    @pytest.mark.parametrize("kind, m, reason", [
+        ("function_difference", "45", "gradient-kind"),
+        ("gradient", "4", "degrees of freedom"),  # dof = m - 3 features - 1 = 0
+    ], ids=["difference_kind", "no_dof"])
+    def test_naive_ci_skipped_where_not_applicable(self, tmp_path, kind, m, reason):
+        data, schema = write_mixed_inputs(tmp_path)
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main([
+                "explain", "--data", data, "--schema", schema, "--query", "0",
+                "--k", "1", "--m", m, "--B", "40", "--kind", kind, "--naive-ci",
+                "--out", str(out),
+            ])
+        assert code == EXIT_OK
+        report = json.loads(out.read_text())
+        assert reason in report["metadata"]["diagnostics"]["naive_ci_skipped"]
+        for entry in report["features"]:
+            assert "bootstrap_interval" in entry and "naive_interval" not in entry
 
     def test_byte_identical_reruns(self, tmp_path):
         data, schema = write_mixed_inputs(tmp_path)
@@ -445,34 +465,40 @@ class TestSummarize:
         assert payloads[0] == payloads[1]
 
 
-class TestThreadsEnvironment:
-    def test_bad_value_is_a_json_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv(THREADS_ENV, "abc")
-        code = main([
-            "sweep", "--k-list", "1", "--m-list", "24", "--c-list", "0.5",
-            "--n", "300", "--p", "1", "--B", "16",
-            "--sweep-out", str(tmp_path / "s.csv"), "--frontier-out", str(tmp_path / "f.csv"),
-        ])
-        assert code == EXIT_ERROR
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["type"] == "ValueError"
-        assert THREADS_ENV in err["error"]["message"]
+class TestThreadsFlag:
+    COMMANDS = {
+        "summarize": ["summarize", "--k", "1", "--m", "45", "--B", "20"],
+        "sweep": ["sweep", "--k-list", "1", "--m-list", "24", "--c-list", "0.5",
+                  "--n", "300", "--p", "1", "--B", "16"],
+    }
 
-    def test_ignored_by_commands_without_threads_and_by_an_explicit_flag(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv(THREADS_ENV, "abc")
-        code = main([
-            "simulate", "--n", "50", "--seed", "1",
-            "--data-out", str(tmp_path / "d.csv"), "--schema-out", str(tmp_path / "s.json"),
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["summarize", "sweep"])
+    def test_non_positive_is_a_json_error(self, tmp_path, capsys, command, threads):
+        data, schema = write_mixed_inputs(tmp_path)
+        outputs = {
+            "summarize": ["--data", data, "--schema", schema, "--queries", data,
+                          "--out", str(tmp_path / "out.csv")],
+            "sweep": ["--sweep-out", str(tmp_path / "out.csv"),
+                      "--frontier-out", str(tmp_path / "f.csv")],
+        }[command]
+        code = main(self.COMMANDS[command] + outputs + ["--threads", threads])
+        assert code == EXIT_ERROR
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError"
+        assert "--threads" in err["message"] and threads in err["message"]
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_defaults(self):
+        parser = build_parser()
+        summarize = parser.parse_args(self.COMMANDS["summarize"] + [
+            "--data", "d.csv", "--schema", "s.json", "--queries", "q.csv",
         ])
-        assert code == EXIT_OK
-        code = main([
-            "sweep", "--k-list", "1", "--m-list", "24", "--c-list", "0.5",
-            "--n", "300", "--p", "1", "--B", "16", "--threads", "1",
-            "--sweep-out", str(tmp_path / "s.csv"), "--frontier-out", str(tmp_path / "f.csv"),
+        sweep = parser.parse_args(self.COMMANDS["sweep"] + [
+            "--sweep-out", "s.csv", "--frontier-out", "f.csv",
         ])
-        assert code == EXIT_OK
+        assert summarize.threads == (os.cpu_count() or 1)
+        assert sweep.threads == 1
 
 
 class TestSweepCommand:

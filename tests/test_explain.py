@@ -65,20 +65,6 @@ class TestGradientScores:
         assert [s.feature for s in scores] == ["x1", "x2", "x3"]
         np.testing.assert_allclose([s.value for s in scores], betas, atol=1e-8)
 
-    def test_raw_and_standardized_units_consistent(self):
-        rng = np.random.default_rng(41)
-        ds = linear_dataset(rng, 80, 0.0, [2.0, -1.0], noise=0.3)
-        q = QueryPoint.from_mapping(ds.schema, {"x1": 0.2, "x2": 0.2})
-        raw = point_scores(ds, q, ExplainConfig(degree=2, m=80, kind="gradient"))
-        std = point_scores(
-            ds, q, ExplainConfig(degree=2, m=80, kind="gradient", standardized_units=True)
-        )
-        from localexplain.data import standardize
-        _, stats = standardize(ds)
-        for s_raw, s_std in zip(raw, std):
-            sigma = stats.stddev(s_raw.feature)
-            assert s_raw.value * sigma == pytest.approx(s_std.value, abs=1e-9)
-
 
 class TestFunctionDifferenceScores:
     def test_linear_model_gives_two_delta_beta(self):
