@@ -199,9 +199,8 @@ def _report_for_problem(problem: LocalProblem, boot: BootstrapConfig, naive_ci: 
         "failed_replicates": dist.failed_replicates,
         "balance_fallback_used": problem.neighborhood.balance_fallback_used,
         "replicate_solve": problem.replicate_solve,
+        "row_condition": problem.row_condition,
     }
-    if problem.row_condition is not None:
-        diagnostics["row_condition"] = problem.row_condition
     if naive_skipped:
         diagnostics["naive_ci_skipped"] = naive_skipped
     diagnostics.update(problem.notes)

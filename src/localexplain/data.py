@@ -19,6 +19,7 @@ import io
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass, replace
 from typing import IO, Mapping
 
@@ -353,18 +354,19 @@ def _resolve_baselines(schema: FeatureSchema, codes: np.ndarray) -> FeatureSchem
 
 
 def load_dataset(
-    source: str | bytes | IO, schema: FeatureSchema, output_column: str = "f"
+    source: str | os.PathLike | bytes | IO, schema: FeatureSchema, output_column: str = "f"
 ) -> QueryDataset:
     """Parse a UTF-8, comma-delimited CSV with a header row into a dataset.
 
     The header must contain one column per schema feature plus the output
     column (``f`` by default); extra columns are ignored.  This only parses
     cells into numbers and category codes; :class:`QueryDataset` checks the
-    values.  A path is parsed in C by ``np.loadtxt``; bytes, streams and any
-    file the C parse rejects go through the row parser, whose errors name the
-    offending 1-based data row and column.
+    values.  A path (``str`` or ``os.PathLike``) is parsed in C by
+    ``np.loadtxt``; bytes, streams and any file the C parse rejects go
+    through the row parser, whose errors name the offending 1-based data row
+    and column.
     """
-    if isinstance(source, str):
+    if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8", newline="") as stream:
             parsed = _parse_in_c(stream, schema, output_column)
             if parsed is None:

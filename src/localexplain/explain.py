@@ -42,7 +42,6 @@ from .polyfit import (
     PointFit,
     expand_basis,
     lstsq_min_norm,
-    solve_system,
     weighted_system,
 )
 
@@ -64,6 +63,11 @@ ROW_CONDITION_MAX = 1e8
 #: factors in a single batched QR.  Larger stacks raise peak memory (the QR
 #: holds several copies) and run no faster.
 _DOWNDATE_CHUNK_BYTES = 1 << 17
+
+
+def _condition(s: np.ndarray, rank: int) -> float:
+    """Largest over ``rank``-th singular value; inf when that one is 0 or missing."""
+    return float(s[0] / s[rank - 1]) if rank <= s.size and s[rank - 1] > 0 else math.inf
 
 
 class ExplainError(RuntimeError):
@@ -126,8 +130,9 @@ class LocalProblem:
 
     Shared by the point estimate, the naive interval, and bootstrap
     replicates so that they agree on the neighborhood, basis, targets and
-    score matrices.  Instances are immutable in practice and safe to
-    share across threads.
+    score matrices.  Only the cached fits and ``notes`` (where
+    :meth:`naive_interval` records a pseudo-inverse fallback) change after
+    construction, deterministically, so instances are safe to share across threads.
     """
 
     def __init__(self, dataset: QueryDataset, query: QueryPoint, config: ExplainConfig):
@@ -161,17 +166,20 @@ class LocalProblem:
         self.y = targets
         weights = compute_weights(self.neighborhood.distances) if config.weighted else None
         self.Xw, self.yw = weighted_system(self.X, self.y, weights)
-        self.live_columns = np.flatnonzero((self.Xw != 0).any(axis=0))
+        nonzero = self.Xw != 0
+        self.live_columns = np.flatnonzero(nonzero.any(axis=0))
+        self.nonzero_rows = np.flatnonzero(nonzero.any(axis=1))
         self.query_enc = self.layout.encode(
             self.query_std.numeric.reshape(1, -1), self.query_std.codes.reshape(1, -1)
         )[0]
         self.deltas = self._resolve_deltas()
         self.score_names, self.score_kinds, self.plus, self.minus = self._score_matrices()
         self.notes: dict[str, object] = {}
-        if config.m < self.live_columns.size:
+        if self.nonzero_rows.size < self.live_columns.size:
             warnings.warn(
-                f"neighborhood size m={config.m} is below the {self.live_columns.size} live "
-                f"basis terms (q={self.basis.q}); the local fit is underdetermined",
+                f"{self.nonzero_rows.size} nonzero weighted rows (m={config.m}) are fewer than "
+                f"the {self.live_columns.size} live basis terms (q={self.basis.q}); the local "
+                "fit is underdetermined",
                 RuntimeWarning,
                 stacklevel=3,
             )
@@ -245,14 +253,16 @@ class LocalProblem:
 
     @functools.cached_property
     def point_fit(self) -> PointFit:
-        """The full-neighborhood fit of the weighted system, with diagnostics."""
-        fit = solve_system(self.Xw, self.yw)
-        if fit.effective_rank < 2:
+        """The whole-neighborhood fit: the replicate of :meth:`solve_rows` that drops no row."""
+        coefficients, ranks = self.solve_rows(np.arange(self.m)[None, :])
+        beta, rank = coefficients[0], int(ranks[0])
+        if rank < 2:
             raise ExplainError(
-                f"surrogate rank collapse: effective rank {fit.effective_rank} < 2 "
+                f"surrogate rank collapse: effective rank {rank} < 2 "
                 f"(m={self.m}, q={self.basis.q})"
             )
-        return fit
+        residuals = self.yw - self.Xw @ beta
+        return PointFit(beta, float(residuals @ residuals), rank, _condition(self._row_svd[0], rank))
 
     def scores_from_coefficients(self, beta: np.ndarray) -> np.ndarray:
         """Every importance score, ``link(beta @ plus) - link(beta @ minus)``.
@@ -278,47 +288,42 @@ class LocalProblem:
         ]
 
     @functools.cached_property
-    def _row_svd(self) -> tuple[np.ndarray, float, tuple[np.ndarray, ...] | None] | None:
-        """Thin SVD ``U S V'`` of the nonzero weighted rows, for the replicate downdate.
+    def _row_svd(self) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
+        """The one SVD ``U S V'`` of the nonzero weighted rows over the live columns.
 
-        Returns the indices of the rows of ``Xw`` that are not all zero, their
-        condition number over the live columns, and the factors
-        ``(U / S, z, V')``.  In the coordinates of ``V``, row i of ``U / S``
-        is the pseudo-inverse's column for nonzero row i, and ``V z`` is the
-        minimum-norm interpolant.  The factors are None when the condition
-        is above ``ROW_CONDITION_MAX``.  The whole record is None, and no
-        SVD is taken, when those rows outnumber the live columns.
+        Returns ``S`` and the downdate's factors ``(U / S, z, V')``.  In the
+        coordinates of ``V``, row i of ``U / S`` is the pseudo-inverse's
+        column for nonzero row i, and ``V z`` is the minimum-norm interpolant.
+        The factors are None when the rows outnumber the live columns (``U``
+        and ``V`` are then not computed) or their condition is above
+        ``ROW_CONDITION_MAX``.
         """
-        nonzero = np.flatnonzero((self.Xw != 0).any(axis=1))
-        if nonzero.size > self.live_columns.size:
-            return None
-        u, s, vt = np.linalg.svd(self.Xw[np.ix_(nonzero, self.live_columns)], full_matrices=False)
-        condition = float(s[0] / s[-1]) if s[-1] > 0 else math.inf
-        if not condition <= ROW_CONDITION_MAX:
-            return nonzero, condition, None
-        return nonzero, condition, (u / s, (self.yw[nonzero] @ u) / s, vt)
+        rows = self.Xw[np.ix_(self.nonzero_rows, self.live_columns)]
+        if self.nonzero_rows.size > self.live_columns.size:
+            return np.linalg.svd(rows, compute_uv=False), None
+        u, s, vt = np.linalg.svd(rows, full_matrices=False)
+        if not _condition(s, s.size) <= ROW_CONDITION_MAX:
+            return s, None
+        return s, (u / s, (self.yw[self.nonzero_rows] @ u) / s, vt)
 
     @property
-    def row_condition(self) -> float | None:
-        """Condition number of the nonzero weighted rows, over the live columns.
-
-        None when those rows outnumber the live columns: the replicates then
-        take the gelsy loop without it being computed.
-        """
-        return None if self._row_svd is None else self._row_svd[1]
+    def row_condition(self) -> float:
+        """Condition number of the nonzero weighted rows, over the live columns."""
+        return _condition(self._row_svd[0], self._row_svd[0].size)
 
     @property
     def replicate_solve(self) -> str:
-        """``"downdate"`` or ``"gelsy"``: how :meth:`solve_rows` solves the replicates."""
-        return "gelsy" if self._row_svd is None or self._row_svd[2] is None else "downdate"
+        """``"downdate"`` or ``"gelsy"``: how :meth:`solve_rows` solves (row count before any SVD)."""
+        fits = self.nonzero_rows.size <= self.live_columns.size
+        return "downdate" if fits and self._row_svd[1] is not None else "gelsy"
 
     def solve_rows(self, row_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Minimum-norm LS coefficients on row subsets of the neighborhood.
 
         ``row_indices`` is a (B, m') matrix with one subset per row; returns
         the (B, q) coefficient matrix and the (B,) effective ranks.  Rows are
-        pre-scaled by sqrt-weights when the problem is weighted, so a subset
-        fit uses the same weighting mode as the point estimate.  A column
+        pre-scaled by sqrt-weights when the problem is weighted; the point
+        estimate is the subset of every row (:attr:`point_fit`).  A column
         zero on every row (``live_columns`` are the others) gets the exact
         minimum-norm 0 without entering the solve.
 
@@ -356,7 +361,8 @@ class LocalProblem:
         ``_DOWNDATE_CHUNK_BYTES``.  A subset's rank is the number of nonzero
         rows it keeps.
         """
-        nonzero, _, (pinv_rows, z, vt) = self._row_svd
+        nonzero = self.nonzero_rows
+        pinv_rows, z, vt = self._row_svd[1]
         n_subsets = row_indices.shape[0]
         member = np.zeros((n_subsets, self.m), dtype=bool)
         np.put_along_axis(member, row_indices, True, axis=1)

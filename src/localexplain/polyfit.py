@@ -11,10 +11,10 @@ neighborhoods with one-hot columns are frequently rank-deficient, and the
 minimum-norm solution keeps those fits well-defined.  The effective rank and condition
 number are surfaced in the :class:`PointFit` record instead of failing the fit.
 
-A weighted fit is :func:`weighted_system` followed by :func:`lstsq_min_norm`;
-:func:`solve_system` adds the diagnostics of a local problem's point fit.
-Bootstrap replicates are solved by ``LocalProblem.solve_rows``, which
-describes when it calls :func:`lstsq_min_norm` and when it downdates.
+A weighted fit is :func:`weighted_system` followed by :func:`lstsq_min_norm`.
+A local problem's point fit and its bootstrap replicates are all solved by
+``LocalProblem.solve_rows``, which describes when it calls
+:func:`lstsq_min_norm` and when it downdates.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.lapack import get_lapack_funcs
 
 #: Condition numbers above this are flagged in diagnostics so callers can
@@ -128,8 +127,10 @@ class PointFit:
     """Minimum-norm coefficients of one least-squares fit, with diagnostics.
 
     ``rss`` is the minimized objective (weighted when weights were used).
-    ``condition`` is the 2-norm condition number of the (weighted) design
-    matrix; ``ill_conditioned`` flags values above 1e10.
+    ``condition`` is the (weighted) design matrix's largest singular value
+    over its ``effective_rank``-th, taken on the nonzero rows and columns,
+    which have the same nonzero singular values; ``ill_conditioned`` flags
+    values above 1e10.
     """
 
     coefficients: np.ndarray
@@ -198,19 +199,3 @@ def weighted_system(
     sw = np.sqrt(weights)
     return X * sw[:, None], targets * sw
 
-
-def solve_system(Xw: np.ndarray, yw: np.ndarray) -> PointFit:
-    """The minimum-norm fit of an already weighted design matrix, with diagnostics."""
-    coef, rank = lstsq_min_norm(Xw, yw)
-    residuals = yw - Xw @ coef
-    # condition of the subproblem actually solved: largest over rank-th
-    # singular value, so interpolating rank-deficient fits are not flagged
-    # merely for having a null space
-    sv = scipy.linalg.svdvals(Xw)
-    condition = float(sv[0] / sv[rank - 1]) if rank >= 1 and sv[rank - 1] > 0 else np.inf
-    return PointFit(
-        coefficients=coef,
-        rss=float(residuals @ residuals),
-        effective_rank=rank,
-        condition=condition,
-    )

@@ -135,9 +135,9 @@ class TestExplain:
         assert set(meta) >= {"k", "m", "c", "B", "alpha", "seed", "weighted", "diagnostics"}
         # k=1 over x1, x2 and two color indicators: no term is zero on every row
         assert meta["diagnostics"]["live_terms"] == meta["diagnostics"]["q"] == 5
-        # 44 nonzero weighted rows against 5 live terms: no downdate, no row SVD
+        # 44 nonzero weighted rows against 5 live terms: no downdate
         assert meta["diagnostics"]["replicate_solve"] == "gelsy"
-        assert "row_condition" not in meta["diagnostics"]
+        assert 1.0 <= meta["diagnostics"]["row_condition"] < math.inf
         assert set(report["manifest"]) == {"command", "parameters", "input_digests", "version"}
 
         # 11 nonzero weighted rows against 22 live terms at k=3

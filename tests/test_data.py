@@ -304,6 +304,14 @@ class TestCParseParity:
             assert isinstance(err, DataError)
             assert (str(err), err.row, err.column) == (message, row, column)
 
+    def test_path_object_loads_like_its_string(self, tmp_path):
+        text = PARITY_CASES["manifest_lines"][0]
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        from_str, from_path = (load_dataset(source, parity_schema()) for source in (str(path), path))
+        for name in ("numeric", "codes", "outputs"):
+            np.testing.assert_array_equal(getattr(from_path, name), getattr(from_str, name))
+
     def test_header_only_file_is_empty_without_warning(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("# manifest\nx1,tag,x2,f\n\n")

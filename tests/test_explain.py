@@ -240,7 +240,9 @@ class TestNaiveInterval:
         rng = np.random.default_rng(56)
         ds = linear_dataset(rng, 2, 0.0, [1.0], noise=0.1)
         q = QueryPoint.from_mapping(ds.schema, {"x1": 0.0})
-        problem = build_problem(ds, q, ExplainConfig(degree=1, m=2, kind="gradient"))
+        # the farther member has weight 0: one weighted row for two terms
+        with pytest.warns(RuntimeWarning, match="underdetermined"):
+            problem = build_problem(ds, q, ExplainConfig(degree=1, m=2, kind="gradient"))
         with pytest.raises(ExplainError, match="degrees of freedom"):
             problem.naive_interval("x1")
 
@@ -403,28 +405,43 @@ class TestFailureModes:
         with pytest.warns(RuntimeWarning, match="underdetermined"):
             build_problem(ds, q, ExplainConfig(degree=2, m=4))
 
-    @pytest.mark.parametrize("n", [7, 6])
-    def test_underdetermined_counts_live_terms(self, n):
-        # x1 and a 3-level categorical at degree 2: q=8, one of them the
-        # product of the categorical's two indicators, zero on every row
-        schema = FeatureSchema((
-            FeatureSpec("x1", "continuous"),
-            FeatureSpec("color", "categorical", categories=("a", "b", "c"), baseline="a"),
-        ))
-        x = np.linspace(-1.0, 1.0, n).reshape(-1, 1)
-        codes = (np.arange(n) % 3).reshape(-1, 1)
-        ds = QueryDataset(schema, x, codes, x[:, 0] ** 2 + codes[:, 0])
+    @pytest.mark.parametrize("n, weighted, q_live, message", [
+        (7, False, (8, 7), None),
+        (6, False, (8, 7), "6 nonzero weighted rows \\(m=6\\) are fewer than the 7 live basis terms \\(q=8\\)"),
+        # the farthest member has weight 0, so 6 members give 5 rows for 6 terms
+        (6, True, (6, 6), "5 nonzero weighted rows \\(m=6\\) are fewer than the 6 live basis terms \\(q=6\\)"),
+    ], ids=["7", "6", "6-weighted"])
+    def test_underdetermined_counts_live_terms(self, n, weighted, q_live, message):
+        if weighted:
+            # two continuous features at degree 2: q=6, every term live
+            x = np.random.default_rng(62).uniform(-2.0, 2.0, size=(n, 2))
+            ds = QueryDataset(
+                continuous_schema(2), x, np.zeros((n, 0), dtype=np.int64), x[:, 0] ** 2 - x[:, 1]
+            )
+        else:
+            # x1 and a 3-level categorical at degree 2: q=8, one of them the
+            # product of the categorical's two indicators, zero on every row
+            schema = FeatureSchema((
+                FeatureSpec("x1", "continuous"),
+                FeatureSpec("color", "categorical", categories=("a", "b", "c"), baseline="a"),
+            ))
+            x = np.linspace(-1.0, 1.0, n).reshape(-1, 1)
+            codes = (np.arange(n) % 3).reshape(-1, 1)
+            ds = QueryDataset(schema, x, codes, x[:, 0] ** 2 + codes[:, 0])
         q = QueryPoint.from_row(ds, 0)
-        config = ExplainConfig(degree=2, m=n, weighted=False, balance=False)
-        if n == 7:
+        config = ExplainConfig(degree=2, m=n, weighted=weighted, balance=False)
+        if message is None:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 problem = build_problem(ds, q, config)
         else:
-            message = "m=6 is below the 7 live basis terms \\(q=8\\)"
             with pytest.warns(RuntimeWarning, match=message):
                 problem = build_problem(ds, q, config)
-        assert (problem.basis.q, problem.live_columns.size) == (8, 7)
+        assert (problem.basis.q, problem.live_columns.size) == q_live
+        if weighted:
+            # the interpolation the warning is about
+            assert problem.point_fit.effective_rank == 5
+            assert problem.point_fit.rss < 1e-20
 
     def test_surrogate_diagnostics_exposed(self):
         rng = np.random.default_rng(61)
@@ -434,6 +451,35 @@ class TestFailureModes:
         assert fit.effective_rank == 2
         assert np.isfinite(fit.condition)
         assert not fit.ill_conditioned
+
+
+class TestPointFit:
+    """The point fit is the replicate that drops no row; a full-basis gelsy solve is its oracle."""
+
+    @pytest.mark.parametrize("row, k, m, solve", [
+        (1, 4, 66, "downdate"),  # the paper's settings
+        (0, 4, 66, "gelsy"),  # dependent rows: row condition above 1e8
+        (1, 2, 64, "gelsy"),  # more nonzero rows than live terms
+    ])
+    def test_matches_the_full_basis_solve(self, row, k, m, solve):
+        ds = sim.generate_dataset(2000, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # m < q at k=4
+            problem = build_problem(ds, QueryPoint.from_row(ds, row), ExplainConfig(
+                degree=k, m=m, kind="gradient",
+            ))
+        assert problem.replicate_solve == solve
+        fit = problem.point_fit
+        ref_coefficients, ref_rank = lstsq_min_norm(problem.Xw, problem.yw)
+        assert fit.effective_rank == ref_rank
+        scores = problem.scores_from_coefficients(fit.coefficients)
+        ref_scores = problem.scores_from_coefficients(ref_coefficients)
+        assert (np.abs(scores - ref_scores) <= 1e-7 * np.abs(ref_scores).max()).all()
+        residuals = problem.yw - problem.Xw @ fit.coefficients
+        assert fit.rss == float(residuals @ residuals)
+
+        sv = scipy.linalg.svdvals(problem.Xw)
+        assert fit.condition == pytest.approx(sv[0] / sv[fit.effective_rank - 1], rel=1e-10)
 
 
 class TestReplicateSolve:
@@ -550,8 +596,10 @@ class TestReplicateDowndateGate:
 
     def test_more_rows_than_live_terms_take_the_gelsy_loop(self):
         problem = self.paper_problem(sim.generate_dataset(2000, 0), 1, degree=2, m=64)
-        assert problem.row_condition is None
+        assert problem.nonzero_rows.size > problem.live_columns.size
         self.assert_gelsy_loop(problem, 1)
+        assert "_row_svd" not in vars(problem)  # the replicates took no SVD
+        assert 1.0 <= problem.row_condition < math.inf
 
     def test_zero_weight_member_lowers_the_rank_by_one(self):
         problem = self.paper_problem(sim.generate_dataset(2000, 0), 1)

@@ -1,6 +1,7 @@
 """Basis expansion, least-squares fitting, and analytic derivatives."""
 
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,14 +12,18 @@ from localexplain.polyfit import (
     MonomialBasis,
     expand_basis,
     lstsq_min_norm,
-    solve_system,
     weighted_system,
 )
 
 
 def weighted_fit(rows, targets, basis, weights=None):
-    """The weighted least-squares fit of the basis to (rows, targets), as a local problem runs it."""
-    return solve_system(*weighted_system(basis.design_matrix(rows), targets, weights))
+    """The weighted least-squares fit of the basis to (rows, targets): coefficients, rss, rank."""
+    Xw, yw = weighted_system(basis.design_matrix(rows), targets, weights)
+    coefficients, rank = lstsq_min_norm(Xw, yw)
+    residuals = yw - Xw @ coefficients
+    return SimpleNamespace(
+        coefficients=coefficients, rss=float(residuals @ residuals), effective_rank=rank
+    )
 
 
 def random_fit(rng, num_columns, degree):
