@@ -29,7 +29,7 @@ grid = SweepGrid(
     alpha=0.05,
     seed=3,
 )
-records = run_sweep(grid, threads=1)
+records = run_sweep(grid)
 
 
 def show(title, rows):

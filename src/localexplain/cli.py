@@ -12,7 +12,9 @@ sweep      Coverage/width sweep over a (k, m, c) grid plus Pareto frontiers.
 Every output embeds the run manifest (command, hyperparameters, input file
 digests, tool version): JSON reports carry a ``manifest`` key, CSV outputs a
 leading ``# manifest: ...`` comment line.  Outputs are deterministic for a
-fixed seed, including across ``--threads`` settings.
+fixed seed.  ``summarize`` fans its instances out over a pool of ``--threads``
+workers, and its output is byte-identical for every thread count; ``sweep``
+runs serially.
 
 Exit codes: 0 success, 1 error (machine-readable JSON on stderr), 3 success
 with partial per-instance/parameter-set failures.
@@ -90,13 +92,6 @@ def _manifest(command: str, parameters: dict, inputs: dict[str, str | None]) -> 
     return RunManifest(
         command=command, parameters=parameters, input_digests=digests, version=__version__
     )
-
-
-def _pool_size(args) -> int:
-    """``--threads``, which must be a positive integer."""
-    if args.threads < 1:
-        raise ValueError(f"--threads must be a positive integer, got {args.threads}")
-    return args.threads
 
 
 def _parse_deltas(pairs: list[str]) -> dict[str, float]:
@@ -258,7 +253,8 @@ def _read_query_rows(path: str, schema: FeatureSchema) -> list[dict[str, str]]:
 
 
 def cmd_summarize(args) -> int:
-    threads = _pool_size(args)
+    if args.threads < 1:
+        raise ValueError(f"--threads must be a positive integer, got {args.threads}")
     schema = FeatureSchema.from_json(Path(args.schema).read_text(encoding="utf-8"))
     dataset = load_dataset(args.data, schema, output_column=args.output_column)
     deltas = _parse_deltas(args.delta)
@@ -282,12 +278,8 @@ def cmd_summarize(args) -> int:
         except _CLI_ERRORS as exc:
             return None, f"instance {idx}: {type(exc).__name__}: {exc}"
 
-    items = list(enumerate(rows))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_instance, items))
-    else:
-        results = [run_instance(item) for item in items]
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
+        results = list(pool.map(run_instance, enumerate(rows)))
 
     failures = [err for _, err in results if err]
     for err in failures:
@@ -336,7 +328,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    threads = _pool_size(args)
     grid = SweepGrid(
         k_values=_parse_list(args.k_list, int),
         m_values=_parse_list(args.m_list, int),
@@ -348,7 +339,7 @@ def cmd_sweep(args) -> int:
         seed=args.seed,
     )
     baseline = read_baseline_csv(args.merge) if args.merge else []
-    records = run_sweep(grid, threads=threads)
+    records = run_sweep(grid)
     manifest = _manifest(
         "sweep",
         {
@@ -446,8 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", type=int, default=500, help="bootstrap replicate count")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads, a positive integer (default: 1)")
     p.add_argument("--merge", default=None,
                    help="CSV of external (method,avg_width,coverage) rows to overlay")
     p.add_argument("--sweep-out", required=True, help="sweep records CSV path")

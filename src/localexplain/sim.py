@@ -18,7 +18,6 @@ Pareto frontiers are extracted.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -174,16 +173,22 @@ def run_sweep(grid: SweepGrid, threads: int = 1) -> list[SweepRecord]:
     For every (k, m, c) and every shared query point, computes the weighted
     bootstrap interval and the unweighted naive interval for the derivative
     of x1 and checks them against the analytic truth.  Deterministic for a fixed
-    grid (including across thread counts): every bootstrap run draws from a
-    stream keyed by (seed, k-index, m-index, c-index, point-index).
+    grid: every bootstrap run draws from a stream keyed by
+    (seed, k-index, m-index, c-index, point-index).
+
+    The (m, point) units run serially.  On two cores a thread pool made the
+    sweep slower at either BLAS thread setting; for parallelism, split a large
+    sweep across processes by seed.  ``threads`` is kept only for callers that
+    pass ``threads=1``; any other value raises ``ValueError``.
     """
+    if threads != 1:
+        raise ValueError(f"run_sweep runs serially; threads must be 1, got {threads}")
     dataset = generate_dataset(grid.n, grid.seed)
     points, truths = sample_query_points(grid)
     n_k, n_c = len(grid.k_values), len(grid.c_values)
 
-    def run_unit(unit: tuple[int, int]) -> np.ndarray:
+    def run_unit(mi: int, pj: int) -> np.ndarray:
         """(width, covered) per k and per c, the naive interval last; NaN marks a failure."""
-        mi, pj = unit
         point, truth = points[pj], float(truths[pj])
         out = np.full((n_k, n_c + 1, 2), np.nan)
         for ki, k in enumerate(grid.k_values):
@@ -216,15 +221,9 @@ def run_sweep(grid: SweepGrid, threads: int = 1) -> list[SweepRecord]:
                     pass
         return out
 
-    units = [(mi, pj) for mi in range(len(grid.m_values)) for pj in range(grid.p)]
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            unit_results = list(pool.map(run_unit, units))
-    else:
-        unit_results = [run_unit(u) for u in units]
-
+    units = [run_unit(mi, pj) for mi in range(len(grid.m_values)) for pj in range(grid.p)]
     # (m, point, k, c column, width/covered)
-    results = np.stack(unit_results).reshape(len(grid.m_values), grid.p, n_k, n_c + 1, 2)
+    results = np.stack(units).reshape(len(grid.m_values), grid.p, n_k, n_c + 1, 2)
     records: list[SweepRecord] = []
     for ki, k in enumerate(grid.k_values):
         for mi, m in enumerate(grid.m_values):

@@ -53,7 +53,7 @@ def desk_sweep():
                 alpha=0.05,
                 seed=seed,
             )
-            results[seed] = run_sweep(grid, threads=1)
+            results[seed] = run_sweep(grid)
     assert time.time() - start < 1800.0
     return results
 
@@ -323,7 +323,7 @@ def test_criterion_6_derivative_oracle():
 
 
 # -----------------------------------------------------------------------
-# 7. CLI determinism across reruns and thread counts
+# 7. CLI determinism across reruns and summarize thread counts
 # -----------------------------------------------------------------------
 
 
@@ -345,21 +345,36 @@ def test_criterion_7_cli_determinism(tmp_path):
         explain_payloads.append(out.read_bytes())
     assert explain_payloads[0] == explain_payloads[1]
 
-    max_threads = max(os.cpu_count() or 1, 2)
     sweep_payloads = []
-    for threads, tag in ((1, "t1"), (1, "t1b"), (max_threads, "tmax")):
+    for tag in ("r1", "r2"):
         sweep_out = tmp_path / f"sweep_{tag}.csv"
         frontier_out = tmp_path / f"frontier_{tag}.csv"
         code = main([
             "sweep", "--k-list", "1,2", "--m-list", "24,48", "--c-list", "0.5,0.9",
             "--n", "400", "--p", "4", "--B", "40", "--seed", "29",
-            "--threads", str(threads),
             "--sweep-out", str(sweep_out), "--frontier-out", str(frontier_out),
         ])
         assert code == 0
         sweep_payloads.append(sweep_out.read_bytes() + frontier_out.read_bytes())
-    assert sweep_payloads[0] == sweep_payloads[1] == sweep_payloads[2]
-    report(7, f"explain and sweep outputs byte-identical across reruns and threads {{1, {max_threads}}}")
+    assert sweep_payloads[0] == sweep_payloads[1]
+
+    # summarize is the one subcommand with a worker pool
+    queries = tmp_path / "queries.csv"
+    queries.write_text("".join(data.read_text().splitlines(keepends=True)[:8]))  # manifest, header, 6 rows
+    max_threads = max(os.cpu_count() or 1, 2)
+    summarize_payloads = []
+    for threads in (1, max_threads):
+        out = tmp_path / f"summary_t{threads}.csv"
+        code = main([
+            "summarize", "--data", str(data), "--schema", str(schema), "--queries", str(queries),
+            "--k", "2", "--m", "48", "--c", "0.8", "--B", "60", "--seed", "23",
+            "--threads", str(threads), "--out", str(out),
+        ])
+        assert code == 0
+        summarize_payloads.append(out.read_bytes())
+    assert summarize_payloads[0] == summarize_payloads[1]
+    report(7, "explain and sweep outputs byte-identical across reruns, "
+              f"summarize across threads {{1, {max_threads}}}")
 
 
 # -----------------------------------------------------------------------

@@ -473,16 +473,13 @@ class TestThreadsFlag:
     }
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
-    @pytest.mark.parametrize("command", ["summarize", "sweep"])
+    @pytest.mark.parametrize("command", ["summarize"])  # the one subcommand with --threads
     def test_non_positive_is_a_json_error(self, tmp_path, capsys, command, threads):
         data, schema = write_mixed_inputs(tmp_path)
-        outputs = {
-            "summarize": ["--data", data, "--schema", schema, "--queries", data,
-                          "--out", str(tmp_path / "out.csv")],
-            "sweep": ["--sweep-out", str(tmp_path / "out.csv"),
-                      "--frontier-out", str(tmp_path / "f.csv")],
-        }[command]
-        code = main(self.COMMANDS[command] + outputs + ["--threads", threads])
+        code = main(self.COMMANDS[command] + [
+            "--data", data, "--schema", schema, "--queries", data,
+            "--out", str(tmp_path / "out.csv"), "--threads", threads,
+        ])
         assert code == EXIT_ERROR
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ValueError"
@@ -494,11 +491,12 @@ class TestThreadsFlag:
         summarize = parser.parse_args(self.COMMANDS["summarize"] + [
             "--data", "d.csv", "--schema", "s.json", "--queries", "q.csv",
         ])
-        sweep = parser.parse_args(self.COMMANDS["sweep"] + [
-            "--sweep-out", "s.csv", "--frontier-out", "f.csv",
-        ])
+        sweep_argv = self.COMMANDS["sweep"] + ["--sweep-out", "s.csv", "--frontier-out", "f.csv"]
+        sweep = parser.parse_args(sweep_argv)
         assert summarize.threads == (os.cpu_count() or 1)
-        assert sweep.threads == 1
+        assert not hasattr(sweep, "threads")  # the sweep runs serially
+        with pytest.raises(SystemExit):
+            parser.parse_args(sweep_argv + ["--threads", "1"])
 
 
 class TestSweepCommand:
@@ -507,7 +505,7 @@ class TestSweepCommand:
         frontier_out = tmp_path / "frontier.csv"
         code = main([
             "sweep", "--k-list", "1,2", "--m-list", "24", "--c-list", "0.5,0.9",
-            "--n", "300", "--p", "1", "--B", "16", "--seed", "3", "--threads", "1",
+            "--n", "300", "--p", "1", "--B", "16", "--seed", "3",
             "--sweep-out", str(sweep_out), "--frontier-out", str(frontier_out),
         ])
         assert code == EXIT_OK
@@ -523,7 +521,7 @@ class TestSweepCommand:
         frontier_out = tmp_path / "frontier.csv"
         code = main([
             "sweep", "--k-list", "1", "--m-list", "24", "--c-list", "0.7",
-            "--n", "300", "--p", "1", "--B", "16", "--seed", "3", "--threads", "1",
+            "--n", "300", "--p", "1", "--B", "16", "--seed", "3",
             "--merge", str(baseline),
             "--sweep-out", str(sweep_out), "--frontier-out", str(frontier_out),
         ])
@@ -537,7 +535,7 @@ class TestSweepCommand:
         sweep_out = tmp_path / "sweep.csv"
         code = main([
             "sweep", "--k-list", "1", "--m-list", "24", "--c-list", "0.7",
-            "--n", "300", "--p", "1", "--B", "16", "--seed", "3", "--threads", "1",
+            "--n", "300", "--p", "1", "--B", "16", "--seed", "3",
             "--merge", str(baseline),
             "--sweep-out", str(sweep_out), "--frontier-out", str(tmp_path / "frontier.csv"),
         ])
@@ -556,7 +554,7 @@ class TestSweepCommand:
     ], ids=["c", "k", "B", "m_over_n", "alpha"])
     def test_invalid_grid_rejected(self, tmp_path, capsys, override):
         flags = {"--k-list": "1", "--m-list": "8", "--c-list": "0.5", "--n": "100",
-                 "--p": "1", "--B": "8", "--threads": "1", **override}
+                 "--p": "1", "--B": "8", **override}
         code = main([
             "sweep", *[part for item in flags.items() for part in item],
             "--sweep-out", str(tmp_path / "s.csv"),

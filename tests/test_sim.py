@@ -137,13 +137,18 @@ class TestSweep:
         assert len(records) == 2 * 2 * 1 * 2
         assert sum(r.method == "bootstrap" for r in records) == 4
 
-    def test_deterministic_across_runs_and_threads(self):
+    def test_deterministic_across_runs(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             r1 = run_sweep(self.small_grid(), threads=1)
-            r2 = run_sweep(self.small_grid(), threads=1)
-            r3 = run_sweep(self.small_grid(), threads=3)
+            r2 = run_sweep(self.small_grid())
+            r3 = run_sweep(self.small_grid())
         assert r1 == r2 == r3
+
+    @pytest.mark.parametrize("threads", [0, 2])
+    def test_threads_other_than_one_raise(self, threads):
+        with pytest.raises(ValueError, match="threads must be 1"):
+            run_sweep(self.small_grid(), threads=threads)
 
     def test_coverage_and_widths_are_sane(self):
         with warnings.catch_warnings():
