@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .explain import LocalProblem
+from .explain import ROUTES, LocalProblem
 
 #: A run errors out when more than this fraction of replicates fail.
 MAX_FAILED_FRACTION = 0.2
@@ -65,13 +65,19 @@ class UncertaintyInterval:
 
 @dataclass(frozen=True)
 class BootstrapDistribution:
-    """Replicate score matrix (successful replicates x scores) plus bookkeeping."""
+    """Replicate score matrix (successful replicates x scores) plus bookkeeping.
+
+    ``solved_by`` counts all B replicates, failed ones included, by the
+    route that solved them (``explain.ROUTES``: downdate, deletion, gelsy);
+    a replicate that row deletion's gate rejects counts as gelsy.
+    """
 
     names: tuple[str, ...]
     scores: np.ndarray
     failed_replicates: int
     B: int
     m_prime: int
+    solved_by: dict[str, int]
 
 
 def percentile(values: np.ndarray, p: float) -> float | np.ndarray:
@@ -135,7 +141,7 @@ def bootstrap_from_problem(
         )
     names = problem.score_names
     index = replicate_indices(boot.seed, boot.B, m, m_prime)
-    coefficients, ranks = problem.solve_rows(index)
+    coefficients, ranks, routes = problem.solve_rows(index)
     scores = problem.scores_from_coefficients(coefficients)
     ok = (ranks >= 2) & np.isfinite(scores).all(axis=1)
     failed = boot.B - int(ok.sum())
@@ -145,7 +151,8 @@ def bootstrap_from_problem(
             f"(more than {MAX_FAILED_FRACTION:.0%})"
         )
     dist = BootstrapDistribution(
-        names=names, scores=scores[ok], failed_replicates=failed, B=boot.B, m_prime=m_prime
+        names=names, scores=scores[ok], failed_replicates=failed, B=boot.B, m_prime=m_prime,
+        solved_by=dict(zip(ROUTES, np.bincount(routes, minlength=len(ROUTES)).tolist())),
     )
     return intervals_from_distribution(dist, boot.alpha), dist
 

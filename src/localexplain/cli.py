@@ -194,6 +194,7 @@ def _report_for_problem(problem: LocalProblem, boot: BootstrapConfig, naive_ci: 
         "failed_replicates": dist.failed_replicates,
         "balance_fallback_used": problem.neighborhood.balance_fallback_used,
         "replicate_solve": problem.replicate_solve,
+        "replicates_solved_by": dist.solved_by,
         "row_condition": problem.row_condition,
     }
     if naive_skipped:

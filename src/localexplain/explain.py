@@ -53,16 +53,62 @@ BASELINE_DIFFERENCE = "baseline_difference"
 #: stddev, used when neither the schema nor the config supplies a delta.
 DEFAULT_DELTA_FRACTION = 0.5
 
-#: Replicates are solved by downdating the neighborhood's interpolant only
-#: when its nonzero weighted rows have at most this condition number.  By
-#: singular-value interlacing no replicate's rows are worse conditioned,
-#: which keeps them 8 digits clear of gelsy's float64-eps rank cutoff.
+#: Replicates are solved from the one SVD of the neighborhood's nonzero
+#: weighted rows (by downdate or by row deletion) only when those rows have
+#: at most this condition number.  By singular-value interlacing no
+#: underdetermined replicate's rows are worse conditioned, which keeps them
+#: 8 digits clear of gelsy's float64-eps rank cutoff.
 ROW_CONDITION_MAX = 1e8
 
-#: Upper bound on the bytes of one stack of columns that the downdate
-#: factors in a single batched QR.  Larger stacks raise peak memory (the QR
-#: holds several copies) and run no faster.
-_DOWNDATE_CHUNK_BYTES = 1 << 17
+#: Row deletion accepts a replicate only when the smallest eigenvalue of
+#: ``I - U_D U_D'`` (the squared smallest singular value of the kept rows of
+#: ``U``) is at least this.  With ``ROW_CONDITION_MAX`` it bounds an accepted
+#: replicate's condition number by 1e10.
+DELETION_GATE = 1e-4
+
+#: Upper bound on the bytes of one stack of per-replicate factors taken in a
+#: single batched LAPACK call.  Larger stacks raise peak memory (the calls
+#: hold several copies) and run no faster.
+_CHUNK_BYTES = 1 << 17
+
+#: How ``LocalProblem.solve_rows`` solved each replicate, by the codes it
+#: returns: ``ROUTES[code]``.
+ROUTES = ("downdate", "deletion", "gelsy")
+DOWNDATE, DELETION, GELSY = range(len(ROUTES))
+
+
+def _deletion_pays(most_dropped: int, m_prime: int, n_live: int) -> bool:
+    """Whether row deletion should solve subsets of m' rows dropping at most ``most_dropped`` nonzero ones.
+
+    Every subset must drop fewer nonzero rows than there are live terms
+    (d < p, so its Woodbury system is d x d) and keep at least p members
+    beyond the d it drops (m' - d >= p); both get harder as d grows, so the
+    largest d decides.  With less margin a subset often loses the support of
+    a column, fails ``DELETION_GATE`` and pays for both routes: at k=4,
+    m=128, c=0.7 of the sweep grid (m' - d = 50 against p = 79) three
+    subsets in four did.  A batch of which only some subsets qualify does
+    not repay the SVD and the batch set-up: at k=1, m=64, c=0.9 (d of 6 or
+    7 against p = 7) one subset in ten qualified and the batch ran 0.4 ms
+    slower than gelsy alone.
+    """
+    return most_dropped < n_live and m_prime - most_dropped >= n_live
+
+
+def _positive_definite(stack: np.ndarray) -> np.ndarray:
+    """Which symmetric matrices of a stack have a Cholesky factor.
+
+    One batched Cholesky passes a stack whose members all have one; a stack
+    that fails is split in halves until the failing members are found.
+    This costs a fraction of a batched ``eigvalsh`` while failures are rare.
+    """
+    try:
+        np.linalg.cholesky(stack)
+        return np.ones(len(stack), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(stack) == 1:
+            return np.zeros(1, dtype=bool)
+        half = len(stack) // 2
+        return np.concatenate([_positive_definite(stack[:half]), _positive_definite(stack[half:])])
 
 
 def _condition(s: np.ndarray, rank: int) -> float:
@@ -254,7 +300,7 @@ class LocalProblem:
     @functools.cached_property
     def point_fit(self) -> PointFit:
         """The whole-neighborhood fit: the replicate of :meth:`solve_rows` that drops no row."""
-        coefficients, ranks = self.solve_rows(np.arange(self.m)[None, :])
+        coefficients, ranks, _ = self.solve_rows(np.arange(self.m)[None, :])
         beta, rank = coefficients[0], int(ranks[0])
         if rank < 2:
             raise ExplainError(
@@ -288,23 +334,29 @@ class LocalProblem:
         ]
 
     @functools.cached_property
-    def _row_svd(self) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
-        """The one SVD ``U S V'`` of the nonzero weighted rows over the live columns.
+    def _row_svd(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
+        """The one thin SVD ``U S V'`` of the nonzero weighted rows over the live columns.
 
-        Returns ``S`` and the downdate's factors ``(U / S, z, V')``.  In the
-        coordinates of ``V``, row i of ``U / S`` is the pseudo-inverse's
-        column for nonzero row i, and ``V z`` is the minimum-norm interpolant.
-        The factors are None when the rows outnumber the live columns (``U``
-        and ``V`` are then not computed) or their condition is above
-        ``ROW_CONDITION_MAX``.
+        Returns ``S`` and the factors ``(U, U' y, V')``, ``y`` the weighted
+        targets of those rows: the downdate's (N <= p rows) or row
+        deletion's (N > p).  The factors are None when the rows' condition
+        is above ``ROW_CONDITION_MAX``: no replicate may then use them.  Taken
+        at most once per problem, and only when the point fit, the row
+        condition or some replicate's route (:meth:`solve_rows`) asks for it.
+        Tall rows are factored as ``Q R`` and ``U`` is ``Q`` times the ``U``
+        of ``R``'s SVD: at 255 x 79 the tall SVD's ``U`` differs in its last
+        bits between BLAS thread counts, and this product does not.
         """
         rows = self.Xw[np.ix_(self.nonzero_rows, self.live_columns)]
         if self.nonzero_rows.size > self.live_columns.size:
-            return np.linalg.svd(rows, compute_uv=False), None
-        u, s, vt = np.linalg.svd(rows, full_matrices=False)
+            q, r = np.linalg.qr(rows)
+            u, s, vt = np.linalg.svd(r)
+            u = q @ u
+        else:
+            u, s, vt = np.linalg.svd(rows, full_matrices=False)
         if not _condition(s, s.size) <= ROW_CONDITION_MAX:
             return s, None
-        return s, (u / s, (self.yw[self.nonzero_rows] @ u) / s, vt)
+        return s, (u, self.yw[self.nonzero_rows] @ u, vt)
 
     @property
     def row_condition(self) -> float:
@@ -313,74 +365,155 @@ class LocalProblem:
 
     @property
     def replicate_solve(self) -> str:
-        """``"downdate"`` or ``"gelsy"``: how :meth:`solve_rows` solves (row count before any SVD)."""
-        fits = self.nonzero_rows.size <= self.live_columns.size
-        return "downdate" if fits and self._row_svd[1] is not None else "gelsy"
+        """The factorization route open to this problem's replicates, or ``"gelsy"``.
 
-    def solve_rows(self, row_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ``"downdate"`` when the nonzero weighted rows are no more than the
+        live terms, ``"deletion"`` when they outnumber them, either only when
+        the row condition is at most ``ROW_CONDITION_MAX``.  Which replicates
+        take it is in the route codes :meth:`solve_rows` returns.
+        """
+        if self._row_svd[1] is None:
+            return ROUTES[GELSY]
+        return ROUTES[DOWNDATE if self.nonzero_rows.size <= self.live_columns.size else DELETION]
+
+    def solve_rows(self, row_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Minimum-norm LS coefficients on row subsets of the neighborhood.
 
         ``row_indices`` is a (B, m') matrix with one subset per row; returns
-        the (B, q) coefficient matrix and the (B,) effective ranks.  Rows are
-        pre-scaled by sqrt-weights when the problem is weighted; the point
-        estimate is the subset of every row (:attr:`point_fit`).  A column
-        zero on every row (``live_columns`` are the others) gets the exact
-        minimum-norm 0 without entering the solve.
+        the (B, q) coefficient matrix, the (B,) effective ranks and the (B,)
+        route codes (``ROUTES[code]`` names how each subset was solved).
+        Rows are pre-scaled by sqrt-weights when the problem is weighted; the
+        point estimate is the subset of every row (:attr:`point_fit`).  A
+        column zero on every row (``live_columns`` are the others) gets the
+        exact minimum-norm 0 without entering the solve.
 
-        When the nonzero weighted rows are no more than the live columns and
-        their condition is at most ``ROW_CONDITION_MAX`` (1e8; see
-        :attr:`replicate_solve`), the subsets are solved together by
-        :meth:`_downdate`.  Otherwise each subset is one gelsy call, one at
-        a time: stacking them would hold B copies of the design matrix.
-        Where both routes give a subset the same rank, its scores agree to
+        Let N be the nonzero weighted rows, p the live columns and d the
+        nonzero rows a subset drops.  Three routes:
+
+        * ``downdate`` (N <= p): every subset, by :meth:`_downdate`;
+        * ``deletion`` (N > p): every subset, by :meth:`_delete`, when the
+          largest d any subset can have, min(N, m - m'), passes the shape
+          rule :func:`_deletion_pays`; a subset whose kept rows fail
+          ``DELETION_GATE`` goes to gelsy;
+        * ``gelsy``: every other subset, one LAPACK gelsy call each, one at
+          a time (stacking them would hold B copies of the design matrix).
+
+        Both factorization routes need the N rows' condition to be at most
+        ``ROW_CONDITION_MAX`` (1e8); the route is chosen from N, p, m' and d
+        before the SVD of :attr:`_row_svd` is taken.  Where a factorization
+        route and gelsy give a subset the same rank, its scores agree to
         1e-7 of each score's largest magnitude.
         """
         live = self.live_columns
-        coefficients = np.zeros((row_indices.shape[0], self.basis.q))
-        if self.replicate_solve == "downdate":
-            coefficients[:, live], ranks = self._downdate(row_indices)
-            return coefficients, ranks
+        n_rows, n_live = self.nonzero_rows.size, live.size
+        n_subsets, m_prime = row_indices.shape
+        coefficients = np.zeros((n_subsets, self.basis.q))
+        routes = np.full(n_subsets, GELSY, dtype=np.int8)
+        if n_rows <= n_live and self._row_svd[1] is not None:
+            coefficients[:, live], ranks = self._downdate(*self._dropped_rows(row_indices))
+            routes[:] = DOWNDATE
+            return coefficients, ranks, routes
+        fits = np.zeros((n_subsets, n_live))
+        ranks = np.empty(n_subsets, dtype=np.int64)
+        # a subset drops m - m' rows, at most N of them nonzero
+        most_dropped = min(n_rows, self.m - m_prime)
+        if n_live < n_rows and _deletion_pays(most_dropped, m_prime, n_live) and self._row_svd[1] is not None:
+            solved, beta = self._delete(*self._dropped_rows(row_indices))
+            fits[solved], ranks[solved], routes[solved] = beta, n_live, DELETION
         Xw = self.Xw[:, live]
-        ranks = np.empty(row_indices.shape[0], dtype=np.int64)
-        for b, rows in enumerate(row_indices):
-            coefficients[b, live], ranks[b] = lstsq_min_norm(Xw[rows], self.yw[rows])
-        return coefficients, ranks
+        for b in np.flatnonzero(routes == GELSY).tolist():
+            rows = row_indices[b]
+            fits[b], ranks[b] = lstsq_min_norm(Xw[rows], self.yw[rows])
+        coefficients[:, live] = fits
+        return coefficients, ranks, routes
 
-    def _downdate(self, row_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Replicate fits over the live columns as downdates of the interpolant.
-
-        The nonzero rows have full row rank, so the full fit ``beta = V z``
-        interpolates them, and a subset's minimum-norm fit is ``beta`` less
-        its projection onto the pseudo-inverse columns of the nonzero rows
-        it drops (those columns span the part of the row space that the kept
-        rows lose).  Both lie in the span of ``V``, so the projection is
-        taken on ``z``, in coordinates with one entry per nonzero row instead
-        of one per live term.  It goes through a batched QR of the columns,
-        never their Gram matrix, which would square their condition.
-        Subsets are grouped by drop count and stacked in chunks of at most
-        ``_DOWNDATE_CHUNK_BYTES``.  A subset's rank is the number of nonzero
-        rows it keeps.
-        """
-        nonzero = self.nonzero_rows
-        pinv_rows, z, vt = self._row_svd[1]
-        n_subsets = row_indices.shape[0]
-        member = np.zeros((n_subsets, self.m), dtype=bool)
+    def _dropped_rows(self, row_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each subset's mask over the nonzero rows of those it drops, and its drop count d."""
+        member = np.zeros((row_indices.shape[0], self.m), dtype=bool)
         np.put_along_axis(member, row_indices, True, axis=1)
-        dropped = ~member[:, nonzero]
-        drop_counts = dropped.sum(axis=1)
-        out = np.empty((n_subsets, z.size))
+        dropped = ~member[:, self.nonzero_rows]
+        return dropped, dropped.sum(axis=1)
+
+    def _downdate(self, dropped: np.ndarray, drop_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Underdetermined subset fits over the live columns, as downdates of the interpolant.
+
+        The N nonzero rows have full row rank, so the full fit ``beta = V z``
+        (``z = U' y / S``) interpolates them, and a subset's minimum-norm fit
+        is ``beta`` projected onto the row space of the rows it keeps.  All
+        of this lies in the span of ``V``, so the projection is taken on
+        ``z``, with one entry per nonzero row instead of one per live term,
+        and onto the smaller side: onto the kept rows themselves (rows of
+        ``U S``) when a subset keeps fewer than it drops, else off the
+        pseudo-inverse columns of the dropped rows (rows of ``U / S``), which
+        span what the kept rows lose.  It goes through a batched QR of those
+        rows, never their Gram matrix, which would square their condition.
+        Subsets are grouped by drop count and stacked in chunks of at most
+        ``_CHUNK_BYTES``.  A subset's rank is the number of nonzero rows it
+        keeps.  Returns the fits and ranks.
+        """
+        s, (u, uty, vt) = self._row_svd
+        z = uty / s
+        n_rows = z.size
+        out = np.zeros((drop_counts.size, n_rows))
         for count in np.unique(drop_counts):
             subsets = np.flatnonzero(drop_counts == count)
+            kept = n_rows - count
             if count == 0:
                 out[subsets] = z
                 continue
-            positions = np.nonzero(dropped[subsets])[1].reshape(subsets.size, count)
-            chunk = max(1, _DOWNDATE_CHUNK_BYTES // (8 * z.size * count))
+            if kept == 0:
+                continue  # nothing kept: the zero fit
+            keep = kept < count
+            if keep:
+                rows, chosen, width = u * s, ~dropped[subsets], kept
+            else:
+                rows, chosen, width = u / s, dropped[subsets], count
+            positions = np.nonzero(chosen)[1].reshape(subsets.size, width)
+            chunk = max(1, _CHUNK_BYTES // (8 * n_rows * width))
             for start in range(0, subsets.size, chunk):
-                # `chunk` stacks of the dropped rows' columns, each (nonzero rows, count)
-                q = np.linalg.qr(pinv_rows[positions[start:start + chunk]].transpose(0, 2, 1)).Q
-                out[subsets[start:start + chunk]] = z - (q @ (z @ q)[:, :, None])[:, :, 0]
-        return out @ vt, nonzero.size - drop_counts
+                # `chunk` stacks of the chosen rows as columns, each (nonzero rows, width)
+                q = np.linalg.qr(rows[positions[start:start + chunk]].transpose(0, 2, 1)).Q
+                projection = (q @ (z @ q)[:, :, None])[:, :, 0]
+                out[subsets[start:start + chunk]] = projection if keep else z - projection
+        return out @ vt, n_rows - drop_counts
+
+    def _delete(self, dropped: np.ndarray, drop_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Overdetermined subset fits over the live columns, by deleting rows from one SVD.
+
+        With ``U S V'`` of the N nonzero rows (N > p, full column rank), a
+        subset that keeps rows K and drops D solves ``U_K' U_K w = r`` with
+        ``r = U' y - U_D' y_D`` and fits ``beta = V (w / S)``.  Since
+        ``U_K' U_K = I - U_D' U_D``, Woodbury gives ``w = r + U_D' M^-1 U_D r``
+        with the d x d matrix ``M = I - U_D U_D'`` (d < p), whose smallest
+        eigenvalue is the squared smallest singular value of ``U_K``.  A
+        subset is accepted when that eigenvalue is at least ``DELETION_GATE``;
+        the others are returned unsolved, for gelsy.  Subsets are grouped by
+        drop count and stacked in chunks of at most ``_CHUNK_BYTES``.
+        Returns the mask of accepted subsets, each of rank p, and their fits.
+        """
+        s, (u, uty, vt) = self._row_svd
+        y = self.yw[self.nonzero_rows]
+        w = np.empty((drop_counts.size, s.size))
+        solved = np.ones(drop_counts.size, dtype=bool)
+        for count in np.unique(drop_counts):
+            subsets = np.flatnonzero(drop_counts == count)
+            if count == 0:
+                w[subsets] = uty
+                continue
+            positions = np.nonzero(dropped[subsets])[1].reshape(subsets.size, count)
+            chunk = max(1, _CHUNK_BYTES // (8 * s.size * count))
+            for start in range(0, subsets.size, chunk):
+                at = subsets[start:start + chunk]
+                u_d = u[positions[start:start + chunk]]  # (chunk, d, p)
+                r = uty - (y[positions[start:start + chunk]][:, None, :] @ u_d)[:, 0]
+                m = np.eye(count) - u_d @ u_d.transpose(0, 2, 1)
+                ok = _positive_definite(m - DELETION_GATE * np.eye(count))
+                if not ok.all():
+                    solved[at[~ok]] = False
+                    at, u_d, r, m = at[ok], u_d[ok], r[ok], m[ok]
+                x = np.linalg.solve(m, u_d @ r[:, :, None])
+                w[at] = r + (u_d.transpose(0, 2, 1) @ x)[:, :, 0]
+        return solved, (w[solved] / s) @ vt
 
     # -- naive closed-form interval -----------------------------------------
 

@@ -145,7 +145,7 @@ class TestIntervals:
     def test_crafted_distribution_percentiles(self):
         dist = BootstrapDistribution(
             names=("z",), scores=np.array([[1.0], [2.0], [3.0], [4.0], [5.0]]),
-            failed_replicates=0, B=5, m_prime=3,
+            failed_replicates=0, B=5, m_prime=3, solved_by={"downdate": 0, "deletion": 0, "gelsy": 5},
         )
         (iv,) = intervals_from_distribution(dist, alpha=0.4)
         assert iv.lower == pytest.approx(1.8)
@@ -194,6 +194,26 @@ class TestIntervals:
             )
             widths.append(intervals[0].upper - intervals[0].lower)
         assert max(widths) <= 1e-8
+
+    @pytest.mark.parametrize("degree, m, c, route", [
+        (2, 40, 0.95, "deletion"),  # 39 nonzero rows, 3 live terms, 1-2 dropped
+        (2, 40, 0.5, "gelsy"),  # 19-20 dropped: at least the live terms
+        (4, 5, 0.6, "downdate"),  # 4 nonzero rows, 5 live terms
+    ])
+    def test_solved_by_counts_every_replicate_by_route(self, degree, m, c, route):
+        ds = cubic_dataset(np.random.default_rng(78), noise=0.3)
+        import warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # underdetermined at m=5
+            problem = build_problem(ds, query_at(ds, 0.1), ExplainConfig(degree=degree, m=m, kind="gradient"))
+        boot = BootstrapConfig(B=50, c=c, seed=9)
+        _, dist = bootstrap_from_problem(problem, boot)
+        assert list(dist.solved_by) == ["downdate", "deletion", "gelsy"]
+        assert sum(dist.solved_by.values()) == boot.B
+        assert dist.solved_by[route] >= 40
+        index = replicate_indices(boot.seed, boot.B, m, int(np.floor(c * m)))
+        routes = problem.solve_rows(index)[2]
+        assert list(dist.solved_by.values()) == np.bincount(routes, minlength=3).tolist()
 
     def test_too_many_failures_raise(self):
         # every row identical: every replicate fit has rank 1 and fails

@@ -135,8 +135,12 @@ class TestExplain:
         assert set(meta) >= {"k", "m", "c", "B", "alpha", "seed", "weighted", "diagnostics"}
         # k=1 over x1, x2 and two color indicators: no term is zero on every row
         assert meta["diagnostics"]["live_terms"] == meta["diagnostics"]["q"] == 5
-        # 44 nonzero weighted rows against 5 live terms: no downdate
-        assert meta["diagnostics"]["replicate_solve"] == "gelsy"
+        # 44 nonzero weighted rows against 5 live terms: row deletion, for
+        # the subsets that drop fewer rows than there are live terms
+        assert meta["diagnostics"]["replicate_solve"] == "deletion"
+        solved_by = meta["diagnostics"]["replicates_solved_by"]
+        assert list(solved_by) == ["downdate", "deletion", "gelsy"]
+        assert sum(solved_by.values()) == 60 and solved_by["downdate"] == 0
         assert 1.0 <= meta["diagnostics"]["row_condition"] < math.inf
         assert set(report["manifest"]) == {"command", "parameters", "input_digests", "version"}
 
@@ -149,6 +153,7 @@ class TestExplain:
         assert code == EXIT_OK
         diagnostics = json.loads(out.read_text())["metadata"]["diagnostics"]
         assert diagnostics["replicate_solve"] == "downdate"
+        assert diagnostics["replicates_solved_by"] == {"downdate": 60, "deletion": 0, "gelsy": 0}
         assert 1.0 <= diagnostics["row_condition"] <= 1e8
 
     def test_inline_json_query_and_exact_scores(self, tmp_path):
@@ -276,26 +281,29 @@ class TestExplain:
         assert main(["simulate", "--n", "400", "--seed", "4",
                      "--data-out", str(data), "--schema-out", str(schema)]) == EXIT_OK
         src = os.path.dirname(os.path.dirname(localexplain.__file__))
-        # m=256 at k=4: each replicate is 230 rows by ~79 live columns, large
-        # enough that a multi-threaded OpenBLAS splits gelsy's level-2 calls.
-        # m=66 at k=4 is the paper's setting, where the replicates are
-        # downdates of the neighborhood's interpolant.
-        for m, solve in (("256", "gelsy"), ("66", "downdate")):
+        # m=256 at k=4: each replicate is 128 (c=0.5) or 230 (c=0.9) rows by
+        # ~79 live columns, large enough that a multi-threaded OpenBLAS splits
+        # gelsy's level-2 calls.  At c=0.5 each drops more rows than there are
+        # live terms and takes gelsy; at c=0.9 they take row deletion.  m=66
+        # at k=4 is the paper's setting, where the replicates are downdates
+        # of the neighborhood's interpolant.
+        for m, c, solve in (("256", "0.5", "gelsy"), ("256", "0.9", "deletion"), ("66", "0.9", "downdate")):
             dumps = []
             for blas_threads in ("1", None):
                 env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
                 env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
                 if blas_threads:
                     env["OPENBLAS_NUM_THREADS"] = blas_threads
-                dump = tmp_path / f"scores_{m}_{blas_threads}.csv"
+                dump = tmp_path / f"scores_{m}_{c}_{blas_threads}.csv"
                 report = tmp_path / "report.json"
                 subprocess.run([
                     sys.executable, "-m", "localexplain.cli", "explain",
                     "--data", str(data), "--schema", str(schema), "--query", "3",
-                    "--k", "4", "--m", m, "--B", "100", "--seed", "8",
+                    "--k", "4", "--m", m, "--c", c, "--B", "100", "--seed", "8",
                     "--out", str(report), "--dump-scores", str(dump),
                 ], env=env, check=True, capture_output=True, timeout=120)
-                assert json.loads(report.read_text())["metadata"]["diagnostics"]["replicate_solve"] == solve
+                solved_by = json.loads(report.read_text())["metadata"]["diagnostics"]["replicates_solved_by"]
+                assert solved_by[solve] >= 90
                 dumps.append(dump.read_bytes())
             assert len(dumps[0].splitlines()) > 80
             assert dumps[0] == dumps[1]

@@ -1,6 +1,7 @@
 """Explanation pipeline: score extraction and naive closed-form intervals."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,9 @@ from localexplain import sim
 from localexplain.bootstrap import replicate_indices
 from localexplain.data import FeatureSchema, FeatureSpec, QueryDataset, from_log_odds
 from localexplain.explain import (
+    DELETION,
+    DOWNDATE,
+    GELSY,
     ExplainConfig,
     ExplainError,
     build_problem,
@@ -459,7 +463,7 @@ class TestPointFit:
     @pytest.mark.parametrize("row, k, m, solve", [
         (1, 4, 66, "downdate"),  # the paper's settings
         (0, 4, 66, "gelsy"),  # dependent rows: row condition above 1e8
-        (1, 2, 64, "gelsy"),  # more nonzero rows than live terms
+        (1, 2, 64, "deletion"),  # more nonzero rows than live terms
     ])
     def test_matches_the_full_basis_solve(self, row, k, m, solve):
         ds = sim.generate_dataset(2000, 0)
@@ -520,16 +524,21 @@ class TestReplicateSolve:
             problem = build_problem(ds, QueryPoint.from_row(ds, row), ExplainConfig(
                 degree=k, m=m, kind="gradient", weighted=weighted,
             ))
-        # the downdate needs the nonzero rows to be no more than the live
-        # terms; row 0 at k=4, m=66 has dependent rows
-        downdate = m <= problem.live_columns.size and (row, k, m) != (0, 4, 66)
-        assert problem.replicate_solve == ("downdate" if downdate else "gelsy")
+        # the downdate takes nonzero rows no more than the live terms, row
+        # deletion more; row 0 at k=4, m=66 has dependent rows
+        underdetermined = problem.nonzero_rows.size <= problem.live_columns.size
+        route = "gelsy" if (row, k, m) == (0, 4, 66) else "downdate" if underdetermined else "deletion"
+        assert problem.replicate_solve == route
         index = replicate_indices(row, B, problem.m, int(np.floor(c * problem.m)))
-        coefficients, ranks = problem.solve_rows(index)
+        coefficients, ranks, routes = problem.solve_rows(index)
         ref_coefficients, ref_ranks = self.full_basis_loop(problem, index)
+        if route == "downdate":
+            assert (routes == DOWNDATE).all()
+        else:
+            assert set(routes.tolist()) <= {DELETION, GELSY}
 
         dead = np.setdiff1d(np.arange(problem.basis.q), problem.live_columns)
-        assert dead.size > 0
+        assert dead.size > 0 or k == 1  # every degree-1 term is live
         assert (coefficients[:, dead] == 0).all() and (ref_coefficients[:, dead] == 0).all()
         # gelsy's rank cutoff sits at float64 eps, so where a replicate is
         # singular only up to rounding the two bases may call its rank differently
@@ -541,6 +550,38 @@ class TestReplicateSolve:
         scores = problem.scores_from_coefficients(coefficients[same])
         ref_scores = problem.scores_from_coefficients(ref_coefficients[same])
         assert (np.abs(scores - ref_scores) <= 1e-7 * np.abs(ref_scores).max(axis=0)).all()
+        return routes
+
+    @pytest.mark.parametrize("row, k, m, c", [
+        (8, 1, 64, 0.95),  # at c=0.9 a subset may drop 7 nonzero rows, as many as p
+        (9, 2, 64, 0.9),
+        (10, 2, 128, 0.9),
+        (11, 3, 128, 0.9),
+        (12, 4, 128, 0.9),
+        (13, 4, 256, 0.9),
+    ])
+    def test_deletion_cells_match_the_full_basis_solve(self, row, k, m, c):
+        """Cells with more nonzero rows than live terms where row deletion takes the batch."""
+        routes = self.check_against_full_basis(row, k, m, c, 200, 0, weighted=True)
+        assert (routes == DELETION).sum() >= 195
+
+    def test_deletion_peak_memory(self):
+        """B=500 subsets of 230 rows at k=4, m=256: the chunked stacks keep the peak under 3 MB.
+
+        Unchunked, the dropped rows of ``U`` alone would take 500 x 26 x 79
+        floats, 7.8 MB.
+        """
+        ds = sim.generate_dataset(2000, 0)
+        problem = build_problem(ds, QueryPoint.from_row(ds, 0), ExplainConfig(degree=4, m=256, kind="gradient"))
+        index = replicate_indices(0, 500, problem.m, int(np.floor(0.9 * problem.m)))
+        tracemalloc.start()
+        try:
+            _, _, routes = problem.solve_rows(index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (routes == DELETION).all()
+        assert peak < 3 * 2**20
 
 
 class TestReplicateDowndateGate:
@@ -566,10 +607,10 @@ class TestReplicateDowndateGate:
             )
         return coefficients, ranks
 
-    def assert_gelsy_loop(self, problem, seed):
-        assert problem.replicate_solve == "gelsy"
-        index = replicate_indices(seed, 100, problem.m, int(np.floor(0.9 * problem.m)))
-        coefficients, ranks = problem.solve_rows(index)
+    def assert_gelsy_loop(self, problem, seed, c=0.9):
+        index = replicate_indices(seed, 100, problem.m, int(np.floor(c * problem.m)))
+        coefficients, ranks, routes = problem.solve_rows(index)
+        assert (routes == GELSY).all()
         ref_coefficients, ref_ranks = self.live_column_loop(problem, index)
         assert coefficients.tobytes() == ref_coefficients.tobytes()
         assert (ranks == ref_ranks).all()
@@ -587,19 +628,70 @@ class TestReplicateDowndateGate:
         problem = self.paper_problem(ds, 1)
         assert {2000, 2001, 2002} <= set(problem.neighborhood.member_indices.tolist())
         assert problem.row_condition > 1e8
+        assert problem.replicate_solve == "gelsy"
         self.assert_gelsy_loop(problem, 1)
 
     def test_condition_just_above_the_gate_takes_the_gelsy_loop(self):
         problem = self.paper_problem(sim.generate_dataset(2000, 0), 13)
         assert 1e8 < problem.row_condition < 1.1e8
+        assert problem.replicate_solve == "gelsy"
         self.assert_gelsy_loop(problem, 13)
 
     def test_more_rows_than_live_terms_take_the_gelsy_loop(self):
+        # at c=0.5 every subset drops at least as many rows as there are live
+        # terms, so the shape rule sends all of them to gelsy
         problem = self.paper_problem(sim.generate_dataset(2000, 0), 1, degree=2, m=64)
         assert problem.nonzero_rows.size > problem.live_columns.size
-        self.assert_gelsy_loop(problem, 1)
+        self.assert_gelsy_loop(problem, 1, c=0.5)
         assert "_row_svd" not in vars(problem)  # the replicates took no SVD
         assert 1.0 <= problem.row_condition < math.inf
+        assert problem.replicate_solve == "deletion"  # open to subsets that drop fewer rows
+
+    def test_a_batch_that_may_drop_as_many_rows_as_live_terms_takes_gelsy(self):
+        # k=1, m=64, c=0.9: a subset drops 6 or 7 nonzero rows against p=7, so
+        # the largest drop count fails the shape rule and the whole batch
+        # takes gelsy, though the subsets that drop 6 would pass it
+        problem = self.paper_problem(sim.generate_dataset(2000, 0), 8, degree=1, m=64)
+        assert problem.nonzero_rows.size == 63 and problem.live_columns.size == 7
+        self.assert_gelsy_loop(problem, 8)
+        assert "_row_svd" not in vars(problem)
+
+    def test_more_rows_than_live_terms_above_the_row_condition_gate(self):
+        # x2 = 3 x1 + 1 up to 1e-9: 80 rows over 3 columns, condition ~1e10
+        rng = np.random.default_rng(5)
+        ds = linear_dataset(rng, 200, 0.5, [1.0, 0.0], noise=0.1)
+        numeric = ds.numeric.copy()
+        numeric[:, 1] = 3 * numeric[:, 0] + 1 + 1e-9 * rng.standard_normal(200)
+        ds = QueryDataset(ds.schema, numeric, ds.codes, ds.outputs)
+        problem = build_problem(ds, QueryPoint.from_row(ds, 0), ExplainConfig(degree=1, m=80))
+        assert problem.nonzero_rows.size > problem.live_columns.size
+        assert problem.row_condition > 1e8
+        assert problem.replicate_solve == "gelsy"
+        self.assert_gelsy_loop(problem, 2)
+
+    def test_a_subset_that_loses_a_level_takes_gelsy(self):
+        """Deletion's gate rejects a subset that drops every row of one category."""
+        problem = self.paper_problem(sim.generate_dataset(2000, 0), 1, degree=2, m=128)
+        assert problem.replicate_solve == "deletion"
+        live, n_live = problem.live_columns, problem.live_columns.size
+        nonzero = problem.Xw[:, live] != 0
+        # the rarest level's indicator: the live column nonzero on fewest rows
+        level = np.argmin(nonzero.sum(axis=0))
+        level_rows = np.flatnonzero(nonzero[:, level])
+        assert 0 < level_rows.size < n_live
+        m_prime = int(np.floor(0.9 * problem.m))
+        kept = np.setdiff1d(np.arange(problem.m), level_rows)[:m_prime]
+        others = replicate_indices(3, 20, problem.m, m_prime)
+        index = np.vstack([kept, others])
+        coefficients, ranks, routes = problem.solve_rows(index)
+        # the shape rule admits the subset; the gate sends it to gelsy
+        drops = problem.nonzero_rows.size - np.isin(problem.nonzero_rows, kept).sum()
+        assert drops < n_live <= m_prime - drops
+        assert routes[0] == GELSY and ranks[0] < n_live
+        assert (routes[1:] == DELETION).sum() >= 15
+        ref_coefficients, ref_ranks = self.live_column_loop(problem, index[:1])
+        assert coefficients[0].tobytes() == ref_coefficients[0].tobytes()
+        assert ranks[0] == ref_ranks[0]
 
     def test_zero_weight_member_lowers_the_rank_by_one(self):
         problem = self.paper_problem(sim.generate_dataset(2000, 0), 1)
@@ -608,7 +700,7 @@ class TestReplicateDowndateGate:
         assert zero_rows.size == 1  # the farthest member has weight 0
         m_prime = int(np.floor(0.9 * problem.m))
         index = replicate_indices(1, 500, problem.m, m_prime)
-        coefficients, ranks = problem.solve_rows(index)
+        coefficients, ranks, _ = problem.solve_rows(index)
         holds_zero = (index == zero_rows[0]).any(axis=1)
         assert 0 < holds_zero.sum() < index.shape[0]
         assert (ranks == np.where(holds_zero, m_prime - 1, m_prime)).all()
@@ -625,7 +717,7 @@ class TestReplicateDowndateGate:
         assert problem.replicate_solve == "downdate"
         zero_row = np.flatnonzero(~(problem.Xw != 0).any(axis=1))[0]
         every_other = np.setdiff1d(np.arange(problem.m), [zero_row])
-        coefficients, ranks = problem.solve_rows(every_other[None, :])
+        coefficients, ranks, _ = problem.solve_rows(every_other[None, :])
         ref_coefficients, ref_ranks = self.live_column_loop(problem, every_other[None, :])
         assert ranks[0] == ref_ranks[0] == problem.m - 1
         scores = problem.scores_from_coefficients(coefficients[0])
@@ -633,7 +725,7 @@ class TestReplicateDowndateGate:
         assert (np.abs(scores - ref_scores) <= 1e-7 * np.abs(ref_scores).max()).all()
 
         # every nonzero row dropped: the interpolant less all of itself
-        coefficients, ranks = problem.solve_rows(np.array([[zero_row]]))
+        coefficients, ranks, _ = problem.solve_rows(np.array([[zero_row]]))
         assert ranks[0] == 0
         assert np.abs(coefficients).max() <= 1e-12 * np.abs(problem.point_fit.coefficients).max()
 
@@ -645,7 +737,7 @@ class TestReplicateDowndateGate:
         rows = replicate_indices(6, 152, problem.m, int(np.floor(0.3 * problem.m)))[151]
         zero_row = np.flatnonzero(~(problem.Xw != 0).any(axis=1))[0]
         assert zero_row in rows
-        coefficients, ranks = problem.solve_rows(rows[None, :])
+        coefficients, ranks, _ = problem.solve_rows(rows[None, :])
         assert ranks[0] == rows.size - 1
         live = problem.live_columns
         exact = np.zeros(problem.basis.q)
