@@ -69,7 +69,9 @@ class BootstrapDistribution:
 
     ``solved_by`` counts all B replicates, failed ones included, by the
     route that solved them (``explain.ROUTES``: downdate, deletion, gelsy);
-    a replicate that row deletion's gate rejects counts as gelsy.
+    a replicate that a factorization route leaves to gelsy counts as gelsy.
+    ``replicate_rank`` holds the min, median and max effective rank over
+    the same B replicates.
     """
 
     names: tuple[str, ...]
@@ -78,6 +80,7 @@ class BootstrapDistribution:
     B: int
     m_prime: int
     solved_by: dict[str, int]
+    replicate_rank: dict[str, float]
 
 
 def percentile(values: np.ndarray, p: float) -> float | np.ndarray:
@@ -153,6 +156,7 @@ def bootstrap_from_problem(
     dist = BootstrapDistribution(
         names=names, scores=scores[ok], failed_replicates=failed, B=boot.B, m_prime=m_prime,
         solved_by=dict(zip(ROUTES, np.bincount(routes, minlength=len(ROUTES)).tolist())),
+        replicate_rank={"min": int(ranks.min()), "median": float(np.median(ranks)), "max": int(ranks.max())},
     )
     return intervals_from_distribution(dist, boot.alpha), dist
 

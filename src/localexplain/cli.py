@@ -195,7 +195,9 @@ def _report_for_problem(problem: LocalProblem, boot: BootstrapConfig, naive_ci: 
         "balance_fallback_used": problem.neighborhood.balance_fallback_used,
         "replicate_solve": problem.replicate_solve,
         "replicates_solved_by": dist.solved_by,
+        "replicate_rank": dist.replicate_rank,
         "row_condition": problem.row_condition,
+        "row_rank": problem.row_rank,
     }
     if naive_skipped:
         diagnostics["naive_ci_skipped"] = naive_skipped

@@ -55,16 +55,27 @@ DEFAULT_DELTA_FRACTION = 0.5
 
 #: Replicates are solved from the one SVD of the neighborhood's nonzero
 #: weighted rows (by downdate or by row deletion) only when those rows have
-#: at most this condition number.  By singular-value interlacing no
-#: underdetermined replicate's rows are worse conditioned, which keeps them
-#: 8 digits clear of gelsy's float64-eps rank cutoff.
+#: at most this condition number (over their numerical rank, for dependent
+#: rows).  By singular-value interlacing no underdetermined replicate of
+#: independent rows is worse conditioned, which keeps them 8 digits clear of
+#: gelsy's float64-eps rank cutoff.
 ROW_CONDITION_MAX = 1e8
 
 #: Row deletion accepts a replicate only when the smallest eigenvalue of
 #: ``I - U_D U_D'`` (the squared smallest singular value of the kept rows of
 #: ``U``) is at least this.  With ``ROW_CONDITION_MAX`` it bounds an accepted
-#: replicate's condition number by 1e10.
+#: replicate's condition number by 1e10.  The downdate of dependent rows
+#: counts a singular value of ``W_D`` whose square is at least this as a
+#: relation the dropped rows touch.
 DELETION_GATE = 1e-4
+
+#: The downdate of dependent rows counts a singular value of ``W_D`` (the
+#: dropped rows of the left null space) at most this as a relation among the
+#: kept rows alone.  ``W`` is accurate to about eps * ``ROW_CONDITION_MAX``
+#: (2e-8); measured values were at most 1e-9 for such relations and at least
+#: 1e-6 for the others.  A value between this and ``DELETION_GATE``'s square
+#: root sends the replicate to gelsy.
+KEPT_RELATION_MAX = 1e-6
 
 #: Upper bound on the bytes of one stack of per-replicate factors taken in a
 #: single batched LAPACK call.  Larger stacks raise peak memory (the calls
@@ -114,6 +125,17 @@ def _positive_definite(stack: np.ndarray) -> np.ndarray:
 def _condition(s: np.ndarray, rank: int) -> float:
     """Largest over ``rank``-th singular value; inf when that one is 0 or missing."""
     return float(s[0] / s[rank - 1]) if rank <= s.size and s[rank - 1] > 0 else math.inf
+
+
+def _numerical_rank(s: np.ndarray, n_rows: int, n_columns: int) -> int:
+    """Singular values above ``s[0] * max(n_rows, n_columns) * eps``, ``np.linalg.matrix_rank``'s tolerance."""
+    return int(np.count_nonzero(s > s[0] * max(n_rows, n_columns) * np.finfo(float).eps))
+
+
+def _project(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Projections of ``w``, one vector or one per member, onto the column spans of the orthonormal stack ``q``."""
+    coordinates = w @ q if w.ndim == 1 else (w[:, None, :] @ q)[:, 0]
+    return (q @ coordinates[:, :, None])[:, :, 0]
 
 
 class ExplainError(RuntimeError):
@@ -334,14 +356,18 @@ class LocalProblem:
         ]
 
     @functools.cached_property
-    def _row_svd(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
+    def _row_svd(self) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
         """The one thin SVD ``U S V'`` of the nonzero weighted rows over the live columns.
 
-        Returns ``S`` and the factors ``(U, U' y, V')``, ``y`` the weighted
-        targets of those rows: the downdate's (N <= p rows) or row
-        deletion's (N > p).  The factors are None when the rows' condition
-        is above ``ROW_CONDITION_MAX``: no replicate may then use them.  Taken
-        at most once per problem, and only when the point fit, the row
+        Returns all of ``S`` and the factors ``(S_r, U_r, U_r' y, V_r', W,
+        W' y)`` of the replicate routes, ``y`` the weighted targets of those
+        rows, truncated at their numerical rank r (:attr:`row_rank`).
+        ``W = U[:, r:]`` spans the relations among the rows, their left null
+        space: it has columns only when N <= p (the downdate's case) and the
+        rows are dependent.  The factors are None when ``S[0] / S[r-1]`` is
+        above ``ROW_CONDITION_MAX``, or when more rows than live terms (row
+        deletion's case) are dependent: no replicate may then use them.
+        Taken at most once per problem, and only when the point fit, the row
         condition or some replicate's route (:meth:`solve_rows`) asks for it.
         Tall rows are factored as ``Q R`` and ``U`` is ``Q`` times the ``U``
         of ``R``'s SVD: at 255 x 79 the tall SVD's ``U`` differs in its last
@@ -352,11 +378,15 @@ class LocalProblem:
             q, r = np.linalg.qr(rows)
             u, s, vt = np.linalg.svd(r)
             u = q @ u
+            rank = s.size
         else:
             u, s, vt = np.linalg.svd(rows, full_matrices=False)
-        if not _condition(s, s.size) <= ROW_CONDITION_MAX:
+            rank = _numerical_rank(s, *rows.shape)
+        if not _condition(s, rank) <= ROW_CONDITION_MAX:
             return s, None
-        return s, (u, self.yw[self.nonzero_rows] @ u, vt)
+        y = self.yw[self.nonzero_rows]
+        u, null = u[:, :rank], u[:, rank:]
+        return s, (s[:rank], u, y @ u, vt[:rank], null, y @ null)
 
     @property
     def row_condition(self) -> float:
@@ -364,13 +394,18 @@ class LocalProblem:
         return _condition(self._row_svd[0], self._row_svd[0].size)
 
     @property
+    def row_rank(self) -> int:
+        """Numerical rank of the nonzero weighted rows, at ``np.linalg.matrix_rank``'s tolerance."""
+        return _numerical_rank(self._row_svd[0], self.nonzero_rows.size, self.live_columns.size)
+
+    @property
     def replicate_solve(self) -> str:
         """The factorization route open to this problem's replicates, or ``"gelsy"``.
 
         ``"downdate"`` when the nonzero weighted rows are no more than the
         live terms, ``"deletion"`` when they outnumber them, either only when
-        the row condition is at most ``ROW_CONDITION_MAX``.  Which replicates
-        take it is in the route codes :meth:`solve_rows` returns.
+        the factors of :attr:`_row_svd` exist.  Which replicates take it is
+        in the route codes :meth:`solve_rows` returns.
         """
         if self._row_svd[1] is None:
             return ROUTES[GELSY]
@@ -387,10 +422,12 @@ class LocalProblem:
         column zero on every row (``live_columns`` are the others) gets the
         exact minimum-norm 0 without entering the solve.
 
-        Let N be the nonzero weighted rows, p the live columns and d the
-        nonzero rows a subset drops.  Three routes:
+        Let N be the nonzero weighted rows, r their numerical rank, p the
+        live columns and d the nonzero rows a subset drops.  Three routes:
 
-        * ``downdate`` (N <= p): every subset, by :meth:`_downdate`;
+        * ``downdate`` (N <= p): every subset, by :meth:`_downdate`, except
+          one of dependent rows (r < N) whose relations the dropped rows
+          neither clearly touch nor clearly miss, which goes to gelsy;
         * ``deletion`` (N > p): every subset, by :meth:`_delete`, when the
           largest d any subset can have, min(N, m - m'), passes the shape
           rule :func:`_deletion_pays`; a subset whose kept rows fail
@@ -398,26 +435,26 @@ class LocalProblem:
         * ``gelsy``: every other subset, one LAPACK gelsy call each, one at
           a time (stacking them would hold B copies of the design matrix).
 
-        Both factorization routes need the N rows' condition to be at most
-        ``ROW_CONDITION_MAX`` (1e8); the route is chosen from N, p, m' and d
-        before the SVD of :attr:`_row_svd` is taken.  Where a factorization
-        route and gelsy give a subset the same rank, its scores agree to
-        1e-7 of each score's largest magnitude.
+        Both factorization routes need the rows' largest over r-th singular
+        value to be at most ``ROW_CONDITION_MAX`` (1e8), and deletion needs
+        r = p; the route is chosen from N, p, m' and d before the SVD of
+        :attr:`_row_svd` is taken.  Where a factorization route and gelsy
+        give a subset the same rank, its scores agree to 1e-7 of each
+        score's largest magnitude.
         """
         live = self.live_columns
         n_rows, n_live = self.nonzero_rows.size, live.size
         n_subsets, m_prime = row_indices.shape
         coefficients = np.zeros((n_subsets, self.basis.q))
         routes = np.full(n_subsets, GELSY, dtype=np.int8)
-        if n_rows <= n_live and self._row_svd[1] is not None:
-            coefficients[:, live], ranks = self._downdate(*self._dropped_rows(row_indices))
-            routes[:] = DOWNDATE
-            return coefficients, ranks, routes
         fits = np.zeros((n_subsets, n_live))
         ranks = np.empty(n_subsets, dtype=np.int64)
         # a subset drops m - m' rows, at most N of them nonzero
         most_dropped = min(n_rows, self.m - m_prime)
-        if n_live < n_rows and _deletion_pays(most_dropped, m_prime, n_live) and self._row_svd[1] is not None:
+        if n_rows <= n_live and self._row_svd[1] is not None:
+            solved, fits, ranks = self._downdate(*self._dropped_rows(row_indices))
+            routes[solved] = DOWNDATE
+        elif n_live < n_rows and _deletion_pays(most_dropped, m_prime, n_live) and self._row_svd[1] is not None:
             solved, beta = self._delete(*self._dropped_rows(row_indices))
             fits[solved], ranks[solved], routes[solved] = beta, n_live, DELETION
         Xw = self.Xw[:, live]
@@ -434,48 +471,100 @@ class LocalProblem:
         dropped = ~member[:, self.nonzero_rows]
         return dropped, dropped.sum(axis=1)
 
-    def _downdate(self, dropped: np.ndarray, drop_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _downdate(self, dropped: np.ndarray, drop_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Underdetermined subset fits over the live columns, as downdates of the interpolant.
 
-        The N nonzero rows have full row rank, so the full fit ``beta = V z``
-        (``z = U' y / S``) interpolates them, and a subset's minimum-norm fit
-        is ``beta`` projected onto the row space of the rows it keeps.  All
-        of this lies in the span of ``V``, so the projection is taken on
-        ``z``, with one entry per nonzero row instead of one per live term,
-        and onto the smaller side: onto the kept rows themselves (rows of
-        ``U S``) when a subset keeps fewer than it drops, else off the
-        pseudo-inverse columns of the dropped rows (rows of ``U / S``), which
-        span what the kept rows lose.  It goes through a batched QR of those
-        rows, never their Gram matrix, which would square their condition.
+        With the factors of :attr:`_row_svd`, the full fit is ``beta = V z``
+        with ``z = U' y / S``, the minimum-norm fit of all N rows (the
+        truncated pseudo-inverse when they are dependent).  A subset keeps
+        rows K and drops rows D.  Everything lies in the span of ``V``, so
+        its fit is found on r-vectors like ``z``.
+
+        Independent rows (``W`` empty): ``beta`` interpolates them, and the
+        subset's fit is ``beta`` projected onto the row space of the rows it
+        keeps.  The projection is taken onto the smaller side: onto the kept
+        rows themselves (rows of ``U S``) when a subset keeps fewer than it
+        drops, else off the pseudo-inverse columns of the dropped rows (rows
+        of ``U / S``), which span what the kept rows lose.  It goes through a
+        batched QR of those rows, never their Gram matrix, which would square
+        their condition.  The rank is N - d.
+
+        Dependent rows (``W`` has k = N - r columns): the SVD
+        ``W_D = L diag(sv) R'`` of the dropped rows of ``W`` sorts the
+        relations.  The k' with ``sv**2 >= DELETION_GATE`` touch the dropped
+        rows.  Those with ``sv <= KEPT_RELATION_MAX``, and the k - min(d, k)
+        without a singular value, lie among the kept rows alone: the fit
+        cannot meet them, so the kept targets lose their component along
+        them.  A subset with a value in between is left to gelsy.  With
+        ``t = W_K' y_K``, the dropped-row targets ``x_D = -L_k' R_k'' t / sv_k'``
+        and the reduced kept targets satisfy every relation, so the truncated
+        SVD interpolates them.  Less a part that the projection below removes
+        anyway, that interpolant is
+        ``z - U_D' L_k' (L_k'' y_D + R_k'' t / sv_k') / S``.  The fit is this
+        less its projection onto ``U_D' Z / S`` (``Z = L[:, k':]``), the
+        directions the kept rows lose; when no relation lies among the kept
+        rows alone and a subset keeps fewer than it drops, it is the
+        projection onto the kept rows of ``U S`` instead.  The rank is
+        N - d - (k - k'); with k = 0 this is the independent case.
+
         Subsets are grouped by drop count and stacked in chunks of at most
-        ``_CHUNK_BYTES``.  A subset's rank is the number of nonzero rows it
-        keeps.  Returns the fits and ranks.
+        ``_CHUNK_BYTES``; a chunk of dependent rows is split by k'.  Returns
+        the mask of solved subsets, the fits (zero for the others) and the
+        ranks.
         """
-        s, (u, uty, vt) = self._row_svd
+        _, (s, u, uty, vt, null, nty) = self._row_svd
+        y = self.yw[self.nonzero_rows]
         z = uty / s
-        n_rows = z.size
-        out = np.zeros((drop_counts.size, n_rows))
+        scaled, inverse = u * s, u / s
+        n_rows, n_null = null.shape
+        out = np.zeros((drop_counts.size, s.size))
+        ranks = n_rows - drop_counts
+        solved = np.ones(drop_counts.size, dtype=bool)
         for count in np.unique(drop_counts):
             subsets = np.flatnonzero(drop_counts == count)
             kept = n_rows - count
             if count == 0:
                 out[subsets] = z
+                ranks[subsets] = s.size
                 continue
             if kept == 0:
                 continue  # nothing kept: the zero fit
-            keep = kept < count
-            if keep:
-                rows, chosen, width = u * s, ~dropped[subsets], kept
-            else:
-                rows, chosen, width = u / s, dropped[subsets], count
-            positions = np.nonzero(chosen)[1].reshape(subsets.size, width)
-            chunk = max(1, _CHUNK_BYTES // (8 * n_rows * width))
+            positions = np.nonzero(dropped[subsets])[1].reshape(subsets.size, count)
+            # every stack of a chunk is at most (nonzero rows, d) per subset
+            chunk = max(1, _CHUNK_BYTES // (8 * n_rows * count))
             for start in range(0, subsets.size, chunk):
-                # `chunk` stacks of the chosen rows as columns, each (nonzero rows, width)
-                q = np.linalg.qr(rows[positions[start:start + chunk]].transpose(0, 2, 1)).Q
-                projection = (q @ (z @ q)[:, :, None])[:, :, 0]
-                out[subsets[start:start + chunk]] = projection if keep else z - projection
-        return out @ vt, n_rows - drop_counts
+                at, pos = subsets[start:start + chunk], positions[start:start + chunk]
+                groups = [(0, slice(None))]
+                if n_null:
+                    lefts, sv, rights = np.linalg.svd(null[pos])
+                    spans = (sv * sv >= DELETION_GATE).sum(axis=1)
+                    clear = spans + (sv <= KEPT_RELATION_MAX).sum(axis=1) == sv.shape[1]
+                    solved[at[~clear]] = False
+                    groups = [
+                        (span, np.flatnonzero(clear & (spans == span))) for span in np.unique(spans[clear]).tolist()
+                    ]
+                for span, group in groups:
+                    members, dropped_at = at[group], pos[group]
+                    w = z
+                    if span:
+                        y_d, left = y[dropped_at], lefts[group, :, :span]
+                        t = nty - (y_d[:, None, :] @ null[dropped_at])[:, 0]  # W_K' y_K
+                        along = (y_d[:, None, :] @ left)[:, 0]
+                        along += (rights[group, :span] @ t[:, :, None])[:, :, 0] / sv[group, :span]
+                        w = z - (((left @ along[:, :, None])[:, :, 0])[:, None, :] @ inverse[dropped_at])[:, 0]
+                    if span == n_null and kept < count:
+                        kept_at = np.nonzero(~dropped[members])[1].reshape(members.size, kept)
+                        out[members] = _project(np.linalg.qr(scaled[kept_at].transpose(0, 2, 1)).Q, w)
+                    elif span < count:
+                        lost = inverse[dropped_at].transpose(0, 2, 1)  # (g, r, d)
+                        if n_null:
+                            lost = lost @ lefts[group, :, span:]
+                        out[members] = w - _project(np.linalg.qr(lost).Q, w)
+                    else:
+                        out[members] = w
+                    if n_null:
+                        ranks[members] -= n_null - span
+        return solved, out @ vt, ranks
 
     def _delete(self, dropped: np.ndarray, drop_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Overdetermined subset fits over the live columns, by deleting rows from one SVD.
@@ -491,7 +580,7 @@ class LocalProblem:
         drop count and stacked in chunks of at most ``_CHUNK_BYTES``.
         Returns the mask of accepted subsets, each of rank p, and their fits.
         """
-        s, (u, uty, vt) = self._row_svd
+        _, (s, u, uty, vt, _, _) = self._row_svd
         y = self.yw[self.nonzero_rows]
         w = np.empty((drop_counts.size, s.size))
         solved = np.ones(drop_counts.size, dtype=bool)

@@ -45,10 +45,16 @@ class MonomialBasis:
     """Ordered monomial terms over ``num_columns`` encoded columns.
 
     ``exponents`` has one row per term (the constant term first); row t of a
-    design matrix holds prod_c x_c ** exponents[t, c].
+    design matrix holds prod_c x_c ** exponents[t, c].  The basis holds a
+    read-only view of it, so one basis can be shared by every problem.
     """
 
     exponents: np.ndarray
+
+    def __post_init__(self):
+        exponents = np.asarray(self.exponents).view()
+        exponents.flags.writeable = False
+        object.__setattr__(self, "exponents", exponents)
 
     @property
     def q(self) -> int:
@@ -100,7 +106,9 @@ def expand_basis(
     ``binary_mask`` marks indicator columns whose exponents are capped at 1
     (b^e = b would duplicate b).  ``combinations_with_replacement`` yields
     the terms in graded-lex order: by total degree, then earlier columns
-    carry higher powers first.
+    carry higher powers first.  A basis is built once per (columns, degree,
+    mask) and shared, the 64 most recently used being kept; its exponents
+    are read-only.
     """
     if degree < 1:
         raise FitError("polynomial degree must be >= 1")
@@ -109,7 +117,11 @@ def expand_basis(
     binary_mask = np.asarray(binary_mask, dtype=bool)
     if binary_mask.shape != (num_columns,):
         raise FitError("binary_mask length must equal num_columns")
-    binary = np.flatnonzero(binary_mask).tolist()
+    return _expand_basis(num_columns, degree, tuple(np.flatnonzero(binary_mask).tolist()))
+
+
+@functools.lru_cache(maxsize=64)
+def _expand_basis(num_columns: int, degree: int, binary: tuple[int, ...]) -> MonomialBasis:
     terms: list[list[int]] = []
     for total in range(degree + 1):
         for combo in combinations_with_replacement(range(num_columns), total):
@@ -118,8 +130,7 @@ def expand_basis(
                 exp[c] += 1
             if all(exp[c] <= 1 for c in binary):
                 terms.append(exp)
-    exponents = np.array(terms, dtype=np.int64).reshape(len(terms), num_columns)
-    return MonomialBasis(exponents=exponents)
+    return MonomialBasis(np.array(terms, dtype=np.int64).reshape(len(terms), num_columns))
 
 
 @dataclass(frozen=True)

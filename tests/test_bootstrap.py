@@ -146,6 +146,7 @@ class TestIntervals:
         dist = BootstrapDistribution(
             names=("z",), scores=np.array([[1.0], [2.0], [3.0], [4.0], [5.0]]),
             failed_replicates=0, B=5, m_prime=3, solved_by={"downdate": 0, "deletion": 0, "gelsy": 5},
+            replicate_rank={"min": 3, "median": 3.0, "max": 3},
         )
         (iv,) = intervals_from_distribution(dist, alpha=0.4)
         assert iv.lower == pytest.approx(1.8)
@@ -212,8 +213,9 @@ class TestIntervals:
         assert sum(dist.solved_by.values()) == boot.B
         assert dist.solved_by[route] >= 40
         index = replicate_indices(boot.seed, boot.B, m, int(np.floor(c * m)))
-        routes = problem.solve_rows(index)[2]
+        _, ranks, routes = problem.solve_rows(index)
         assert list(dist.solved_by.values()) == np.bincount(routes, minlength=3).tolist()
+        assert dist.replicate_rank == {"min": ranks.min(), "median": np.median(ranks), "max": ranks.max()}
 
     def test_too_many_failures_raise(self):
         # every row identical: every replicate fit has rank 1 and fails

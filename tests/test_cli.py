@@ -142,6 +142,8 @@ class TestExplain:
         assert list(solved_by) == ["downdate", "deletion", "gelsy"]
         assert sum(solved_by.values()) == 60 and solved_by["downdate"] == 0
         assert 1.0 <= meta["diagnostics"]["row_condition"] < math.inf
+        assert meta["diagnostics"]["row_rank"] == 5
+        assert meta["diagnostics"]["replicate_rank"] == {"min": 5, "median": 5.0, "max": 5}
         assert set(report["manifest"]) == {"command", "parameters", "input_digests", "version"}
 
         # 11 nonzero weighted rows against 22 live terms at k=3
@@ -155,6 +157,10 @@ class TestExplain:
         assert diagnostics["replicate_solve"] == "downdate"
         assert diagnostics["replicates_solved_by"] == {"downdate": 60, "deletion": 0, "gelsy": 0}
         assert 1.0 <= diagnostics["row_condition"] <= 1e8
+        assert diagnostics["row_rank"] == 11
+        # m' = 10 of 12 members: most replicates hold the zero-weight
+        # farthest member and have rank 9, the others rank 10
+        assert diagnostics["replicate_rank"] == {"min": 9, "median": 9.0, "max": 10}
 
     def test_inline_json_query_and_exact_scores(self, tmp_path):
         data, schema = write_mixed_inputs(tmp_path)
@@ -286,24 +292,30 @@ class TestExplain:
         # gelsy's level-2 calls.  At c=0.5 each drops more rows than there are
         # live terms and takes gelsy; at c=0.9 they take row deletion.  m=66
         # at k=4 is the paper's setting, where the replicates are downdates
-        # of the neighborhood's interpolant.
-        for m, c, solve in (("256", "0.5", "gelsy"), ("256", "0.9", "deletion"), ("66", "0.9", "downdate")):
+        # of the neighborhood's interpolant; query 310 has dependent rows
+        # (rank 62 of 65), downdated from the SVD truncated at that rank,
+        # but for the few replicates it leaves to gelsy.
+        for query, m, c, solve, least in (
+            ("3", "256", "0.5", "gelsy", 90), ("3", "256", "0.9", "deletion", 90),
+            ("3", "66", "0.9", "downdate", 90), ("310", "66", "0.9", "downdate", 80),
+        ):
             dumps = []
             for blas_threads in ("1", None):
                 env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
                 env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
                 if blas_threads:
                     env["OPENBLAS_NUM_THREADS"] = blas_threads
-                dump = tmp_path / f"scores_{m}_{c}_{blas_threads}.csv"
+                dump = tmp_path / f"scores_{query}_{m}_{c}_{blas_threads}.csv"
                 report = tmp_path / "report.json"
                 subprocess.run([
                     sys.executable, "-m", "localexplain.cli", "explain",
-                    "--data", str(data), "--schema", str(schema), "--query", "3",
+                    "--data", str(data), "--schema", str(schema), "--query", query,
                     "--k", "4", "--m", m, "--c", c, "--B", "100", "--seed", "8",
                     "--out", str(report), "--dump-scores", str(dump),
                 ], env=env, check=True, capture_output=True, timeout=120)
-                solved_by = json.loads(report.read_text())["metadata"]["diagnostics"]["replicates_solved_by"]
-                assert solved_by[solve] >= 90
+                diagnostics = json.loads(report.read_text())["metadata"]["diagnostics"]
+                assert diagnostics["replicates_solved_by"][solve] >= least
+                assert (diagnostics["row_rank"] < 65) == (query == "310")
                 dumps.append(dump.read_bytes())
             assert len(dumps[0].splitlines()) > 80
             assert dumps[0] == dumps[1]

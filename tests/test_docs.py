@@ -1,12 +1,13 @@
 """The documented API: the README quickstart runs, its CLI examples parse, every export resolves."""
 
+import json
 import re
 import shlex
 import warnings
 from pathlib import Path
 
 import localexplain
-from localexplain.cli import build_parser
+from localexplain.cli import EXIT_OK, build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -54,3 +55,25 @@ def test_every_exported_name_resolves():
     missing = [name for name in localexplain.__all__ if not hasattr(localexplain, name)]
     assert missing == []
     assert len(set(localexplain.__all__)) == len(localexplain.__all__)
+
+
+def test_every_diagnostics_key_is_documented(tmp_path):
+    """Every key an explain report writes under ``metadata.diagnostics`` is named in README's report paragraph."""
+    text = README.read_text(encoding="utf-8")
+    paragraph = text.split("**Explanation report (JSON)**", 1)[1].split("\n\n", 1)[0]
+    data, schema, out = tmp_path / "sim.csv", tmp_path / "schema.json", tmp_path / "report.json"
+    argv = ["simulate", "--n", "200", "--seed", "1", "--data-out", str(data), "--schema-out", str(schema)]
+    assert main(argv) == EXIT_OK
+    keys = set()
+    # a gradient fit with fewer rows than terms takes the naive pseudo-inverse;
+    # function differences skip the naive interval
+    for k, m, kind in (("2", "12", "gradient"), ("1", "30", "function_difference")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # m < q
+            assert main([
+                "explain", "--data", str(data), "--schema", str(schema), "--query", "0",
+                "--k", k, "--m", m, "--B", "20", "--kind", kind, "--naive-ci", "--out", str(out),
+            ]) == EXIT_OK
+        keys |= set(json.loads(out.read_text())["metadata"]["diagnostics"])
+    assert {"naive_ci_skipped", "naive_pseudo_inverse", "row_rank", "replicate_rank"} <= keys
+    assert sorted(key for key in keys if f"`{key}`" not in paragraph) == []

@@ -59,6 +59,18 @@ def mixed_dataset(rng, n=90):
     return QueryDataset(schema, x, codes, y)
 
 
+def three_copies_dataset():
+    """``generate_dataset(2000, 0)`` plus three exact copies of row 1, which join its neighborhood at distance 0."""
+    ds = sim.generate_dataset(2000, 0)
+    copies = [1, 1, 1]
+    return QueryDataset(
+        ds.schema,
+        np.vstack([ds.numeric, ds.numeric[copies]]),
+        np.vstack([ds.codes, ds.codes[copies]]),
+        np.concatenate([ds.outputs, ds.outputs[copies]]),
+    )
+
+
 class TestGradientScores:
     def test_linear_model_recovers_coefficients(self):
         rng = np.random.default_rng(40)
@@ -462,7 +474,7 @@ class TestPointFit:
 
     @pytest.mark.parametrize("row, k, m, solve", [
         (1, 4, 66, "downdate"),  # the paper's settings
-        (0, 4, 66, "gelsy"),  # dependent rows: row condition above 1e8
+        (0, 4, 66, "downdate"),  # dependent rows: the SVD truncated at their rank
         (1, 2, 64, "deletion"),  # more nonzero rows than live terms
     ])
     def test_matches_the_full_basis_solve(self, row, k, m, solve):
@@ -525,14 +537,17 @@ class TestReplicateSolve:
                 degree=k, m=m, kind="gradient", weighted=weighted,
             ))
         # the downdate takes nonzero rows no more than the live terms, row
-        # deletion more; row 0 at k=4, m=66 has dependent rows
+        # deletion more; row 0 at k=4, m=66 has dependent rows, of which the
+        # downdate leaves some replicates to gelsy
         underdetermined = problem.nonzero_rows.size <= problem.live_columns.size
-        route = "gelsy" if (row, k, m) == (0, 4, 66) else "downdate" if underdetermined else "deletion"
+        route = "downdate" if underdetermined else "deletion"
         assert problem.replicate_solve == route
         index = replicate_indices(row, B, problem.m, int(np.floor(c * problem.m)))
         coefficients, ranks, routes = problem.solve_rows(index)
         ref_coefficients, ref_ranks = self.full_basis_loop(problem, index)
-        if route == "downdate":
+        if (row, k, m) == (0, 4, 66):
+            assert set(routes.tolist()) <= {DOWNDATE, GELSY}
+        elif route == "downdate":
             assert (routes == DOWNDATE).all()
         else:
             assert set(routes.tolist()) <= {DELETION, GELSY}
@@ -564,6 +579,69 @@ class TestReplicateSolve:
         """Cells with more nonzero rows than live terms where row deletion takes the batch."""
         routes = self.check_against_full_basis(row, k, m, c, 200, 0, weighted=True)
         assert (routes == DELETION).sum() >= 195
+
+    @pytest.mark.parametrize("make_dataset, row, relations, c", [
+        (lambda: sim.generate_dataset(2000, 0), 0, 1, 0.9),
+        (lambda: sim.generate_dataset(2000, 911), 584, 5, 0.9),
+        (three_copies_dataset, 1, 3, 0.9),  # the copies' relations often lie among the kept rows
+        (three_copies_dataset, 1, 3, 0.3),  # 19 kept members against 46 dropped
+    ], ids=["seed-0-row-0", "seed-911-row-584", "three-copies", "three-copies-c0.3"])
+    def test_dependent_row_cells_match_the_full_basis_solve(self, make_dataset, row, relations, c):
+        """The downdate of dependent rows, against the full-basis gelsy loop and an SVD oracle.
+
+        At the paper's k=4, m=66 with B=500.  Where the downdate and gelsy
+        give a replicate the same rank their scores agree to 1e-7; every
+        downdated replicate has the rank of ``np.linalg.lstsq(rcond=1e-10)``
+        over the live columns and its scores to 1e-7.
+        """
+        problem = TestReplicateDowndateGate.paper_problem(make_dataset(), row)
+        n_rows, live = problem.nonzero_rows.size, problem.live_columns
+        assert n_rows <= live.size and n_rows - problem.row_rank == relations
+        assert problem.row_condition > 1e8
+        assert problem.replicate_solve == "downdate"
+        index = replicate_indices(row, 500, problem.m, int(np.floor(c * problem.m)))
+        coefficients, ranks, routes = problem.solve_rows(index)
+        assert set(routes.tolist()) <= {DOWNDATE, GELSY}
+        downdated = np.flatnonzero(routes == DOWNDATE)
+        assert downdated.size >= 450
+        # some replicates keep every row of a relation, and lose rank to it
+        kept = np.array([np.isin(problem.nonzero_rows, rows).sum() for rows in index])
+        assert (ranks[downdated] < kept[downdated]).any()
+        assert (ranks[downdated] == kept[downdated]).any()
+
+        ref_coefficients, ref_ranks = self.full_basis_loop(problem, index)
+        same = ranks == ref_ranks
+        assert same.sum() >= 495
+        scores = problem.scores_from_coefficients(coefficients[same])
+        ref_scores = problem.scores_from_coefficients(ref_coefficients[same])
+        assert (np.abs(scores - ref_scores) <= 1e-7 * np.abs(ref_scores).max(axis=0)).all()
+
+        exact = np.zeros((downdated.size, problem.basis.q))
+        for i, b in enumerate(downdated):
+            rows = index[b]
+            exact[i, live], _, rank, _ = np.linalg.lstsq(problem.Xw[rows][:, live], problem.yw[rows], rcond=1e-10)
+            assert ranks[b] == rank
+        scores = problem.scores_from_coefficients(coefficients[downdated])
+        exact_scores = problem.scores_from_coefficients(exact)
+        assert (np.abs(scores - exact_scores) <= 1e-7 * np.abs(exact_scores).max(axis=0)).all()
+
+    def test_dependent_row_peak_memory(self):
+        """B=500 downdates of dependent rows at the paper's settings: the chunked stacks keep the peak under 2.5 MB.
+
+        The outputs alone take about 1.5 MB; unchunked, the dropped rows of
+        ``U / S`` would add 500 x 7 x 64 floats, 1.8 MB, and their QR as much again.
+        """
+        problem = TestReplicateDowndateGate.paper_problem(sim.generate_dataset(2000, 0), 0)
+        index = replicate_indices(0, 500, problem.m, int(np.floor(0.9 * problem.m)))
+        tracemalloc.start()
+        try:
+            _, _, routes = problem.solve_rows(index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert problem.row_rank < problem.nonzero_rows.size
+        assert (routes == DOWNDATE).sum() >= 450
+        assert peak < 2.5 * 2**20
 
     def test_deletion_peak_memory(self):
         """B=500 subsets of 230 rows at k=4, m=256: the chunked stacks keep the peak under 3 MB.
@@ -615,21 +693,22 @@ class TestReplicateDowndateGate:
         assert coefficients.tobytes() == ref_coefficients.tobytes()
         assert (ranks == ref_ranks).all()
 
-    def test_dependent_rows_take_the_gelsy_loop(self):
-        ds = sim.generate_dataset(2000, 0)
+    def test_dependent_rows_take_the_downdate(self):
         # three exact copies of the query row join its neighborhood at distance 0
-        copies = [1, 1, 1]
-        ds = QueryDataset(
-            ds.schema,
-            np.vstack([ds.numeric, ds.numeric[copies]]),
-            np.vstack([ds.codes, ds.codes[copies]]),
-            np.concatenate([ds.outputs, ds.outputs[copies]]),
-        )
-        problem = self.paper_problem(ds, 1)
+        problem = self.paper_problem(three_copies_dataset(), 1)
         assert {2000, 2001, 2002} <= set(problem.neighborhood.member_indices.tolist())
         assert problem.row_condition > 1e8
-        assert problem.replicate_solve == "gelsy"
-        self.assert_gelsy_loop(problem, 1)
+        assert problem.replicate_solve == "downdate"
+        index = replicate_indices(1, 100, problem.m, int(np.floor(0.9 * problem.m)))
+        coefficients, ranks, routes = problem.solve_rows(index)
+        assert set(routes.tolist()) <= {DOWNDATE, GELSY}
+        ref_coefficients, ref_ranks = self.live_column_loop(problem, index)
+        gelsy = routes == GELSY
+        assert coefficients[gelsy].tobytes() == ref_coefficients[gelsy].tobytes()
+        assert (ranks == ref_ranks).all()
+        scores = problem.scores_from_coefficients(coefficients)
+        ref_scores = problem.scores_from_coefficients(ref_coefficients)
+        assert (np.abs(scores - ref_scores) <= 1e-7 * np.abs(ref_scores).max(axis=0)).all()
 
     def test_condition_just_above_the_gate_takes_the_gelsy_loop(self):
         problem = self.paper_problem(sim.generate_dataset(2000, 0), 13)

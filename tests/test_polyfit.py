@@ -63,6 +63,17 @@ class TestExpandBasis:
         with pytest.raises(FitError):
             expand_basis(2, 0)
 
+    def test_built_once_per_width_degree_and_mask(self):
+        mask = np.array([False, True, True])
+        basis = expand_basis(3, 2, mask)
+        assert expand_basis(3, 2, mask.copy()) is basis
+        assert expand_basis(3, 2) is not basis and expand_basis(3, 3, mask) is not basis
+        with pytest.raises(ValueError, match="read-only"):
+            basis.exponents[0, 0] = 1
+        exponents = np.zeros((1, 2), dtype=np.int64)
+        MonomialBasis(exponents)
+        exponents[0, 0] = 1  # the caller's array stays writable
+
     def test_matches_bruteforce_enumeration(self):
         # every exponent vector, capped on indicator columns, sorted graded-lex
         rng = np.random.default_rng(25)
