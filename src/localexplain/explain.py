@@ -54,12 +54,19 @@ BASELINE_DIFFERENCE = "baseline_difference"
 DEFAULT_DELTA_FRACTION = 0.5
 
 #: Replicates are solved from the one SVD of the neighborhood's nonzero
-#: weighted rows (by downdate or by row deletion) only when those rows have
-#: at most this condition number (over their numerical rank, for dependent
-#: rows).  By singular-value interlacing no underdetermined replicate of
-#: independent rows is worse conditioned, which keeps them 8 digits clear of
-#: gelsy's float64-eps rank cutoff.
+#: weighted rows (by row deletion, or by the downdate of dependent rows)
+#: only when those rows have at most this condition number (over their
+#: numerical rank, for dependent rows).
 ROW_CONDITION_MAX = 1e8
+
+#: The downdate of independent rows (no more rows than live terms, full row
+#: rank) takes them up to this condition number.  By singular-value
+#: interlacing no replicate of them is worse conditioned, which keeps them 6
+#: digits clear of gelsy's float64-eps rank cutoff.  A replicate's scores
+#: then carry the rounding error of its own condition number kappa, as
+#: gelsy's do: against a long-double solve, the downdate's stayed within
+#: 6.5 eps kappa of each score's largest magnitude and gelsy's within 4.6.
+INDEPENDENT_ROW_CONDITION_MAX = 1e10
 
 #: Row deletion accepts a replicate only when the smallest eigenvalue of
 #: ``I - U_D U_D'`` (the squared smallest singular value of the kept rows of
@@ -365,8 +372,10 @@ class LocalProblem:
         ``W = U[:, r:]`` spans the relations among the rows, their left null
         space: it has columns only when N <= p (the downdate's case) and the
         rows are dependent.  The factors are None when ``S[0] / S[r-1]`` is
-        above ``ROW_CONDITION_MAX``, or when more rows than live terms (row
-        deletion's case) are dependent: no replicate may then use them.
+        above ``INDEPENDENT_ROW_CONDITION_MAX`` for independent rows (r = N
+        <= p) or above ``ROW_CONDITION_MAX`` for the others, or when more
+        rows than live terms (row deletion's case) are dependent: no
+        replicate may then use them.
         Taken at most once per problem, and only when the point fit, the row
         condition or some replicate's route (:meth:`solve_rows`) asks for it.
         Tall rows are factored as ``Q R`` and ``U`` is ``Q`` times the ``U``
@@ -382,7 +391,8 @@ class LocalProblem:
         else:
             u, s, vt = np.linalg.svd(rows, full_matrices=False)
             rank = _numerical_rank(s, *rows.shape)
-        if not _condition(s, rank) <= ROW_CONDITION_MAX:
+        independent = rank == rows.shape[0]
+        if not _condition(s, rank) <= (INDEPENDENT_ROW_CONDITION_MAX if independent else ROW_CONDITION_MAX):
             return s, None
         y = self.yw[self.nonzero_rows]
         u, null = u[:, :rank], u[:, rank:]
@@ -436,11 +446,14 @@ class LocalProblem:
           a time (stacking them would hold B copies of the design matrix).
 
         Both factorization routes need the rows' largest over r-th singular
-        value to be at most ``ROW_CONDITION_MAX`` (1e8), and deletion needs
-        r = p; the route is chosen from N, p, m' and d before the SVD of
-        :attr:`_row_svd` is taken.  Where a factorization route and gelsy
-        give a subset the same rank, its scores agree to 1e-7 of each
-        score's largest magnitude.
+        value to be at most ``ROW_CONDITION_MAX`` (1e8), or
+        ``INDEPENDENT_ROW_CONDITION_MAX`` (1e10) for the downdate of
+        independent rows, and deletion needs r = p; the route is chosen from
+        N, p, m' and d before the SVD of :attr:`_row_svd` is taken.  Where a
+        factorization route and gelsy give a subset the same rank, its
+        scores agree to 1e-7 of each score's largest magnitude, or, for a
+        subset of condition number kappa above 1e8, both lie within
+        10 eps kappa of the exact fit's.
         """
         live = self.live_columns
         n_rows, n_live = self.nonzero_rows.size, live.size

@@ -71,6 +71,43 @@ def three_copies_dataset():
     )
 
 
+def near_copy_dataset(shift):
+    """``generate_dataset(2000, 0)`` plus a copy of row 1 with ``x1`` moved by ``shift``, which joins its neighborhood."""
+    ds = sim.generate_dataset(2000, 0)
+    numeric = ds.numeric[[1]].copy()
+    numeric[0, 0] += shift
+    return QueryDataset(
+        ds.schema,
+        np.vstack([ds.numeric, numeric]),
+        np.vstack([ds.codes, ds.codes[[1]]]),
+        np.concatenate([ds.outputs, ds.outputs[[1]]]),
+    )
+
+
+def long_double_min_norm(A, y):
+    """Minimum-norm solution of ``A beta = y``, A of full row rank, by a Householder QR of ``A'`` in long double."""
+    M = A.T.astype(np.longdouble)
+    p, n = M.shape
+    reflectors = []
+    for j in range(n):
+        x = M[j:, j]
+        v = x.copy()
+        v[0] += math.copysign(1.0, float(x[0])) * np.sqrt(x @ x)
+        v /= np.sqrt(v @ v)
+        M[j:, j:] -= 2 * np.outer(v, v @ M[j:, j:])
+        reflectors.append(v)
+    # A = R' Q': solve R' z = y, then beta = Q [z; 0]
+    z = np.zeros(n, dtype=np.longdouble)
+    for i in range(n):
+        z[i] = (y[i] - M[:i, i] @ z[:i]) / M[i, i]
+    beta = np.zeros(p, dtype=np.longdouble)
+    beta[:n] = z
+    for j in reversed(range(n)):
+        v = reflectors[j]
+        beta[j:] -= 2 * v * (v @ beta[j:])
+    return beta
+
+
 class TestGradientScores:
     def test_linear_model_recovers_coefficients(self):
         rng = np.random.default_rng(40)
@@ -625,6 +662,58 @@ class TestReplicateSolve:
         exact_scores = problem.scores_from_coefficients(exact)
         assert (np.abs(scores - exact_scores) <= 1e-7 * np.abs(exact_scores).max(axis=0)).all()
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="the oracle needs an extended-precision long double")
+    @pytest.mark.parametrize("seed, row", [
+        (0, 13),  # condition 1.03e8, just above the gate of dependent rows and of row deletion
+        (2, 1800),
+        (7, 1181),  # condition 6.1e9
+    ])
+    def test_ill_conditioned_cells_match_a_long_double_solve(self, seed, row):
+        """The downdate of independent rows whose condition number lies between 1e8 and 1e10.
+
+        At the paper's k=4, m=66 with B=200, against a long-double solve of
+        each replicate's nonzero kept rows: the downdate and the live-column
+        gelsy loop give every replicate the rank N - d, and both keep each
+        score within 10 eps kappa of that score's largest magnitude, kappa
+        the replicate's own condition number (measured at most 6.5 for the
+        downdate, at (2, 1800), and 4.6 for gelsy).  So does the point fit.
+        """
+        problem = TestReplicateDowndateGate.paper_problem(sim.generate_dataset(2000, seed), row)
+        n_rows, live = problem.nonzero_rows.size, problem.live_columns
+        assert problem.row_rank == n_rows <= live.size
+        assert 1e8 < problem.row_condition <= 1e10
+        assert problem.replicate_solve == "downdate"
+        index = replicate_indices(row, 200, problem.m, int(np.floor(0.9 * problem.m)))
+        coefficients, ranks, routes = problem.solve_rows(index)
+        assert (routes == DOWNDATE).all()
+        ref_coefficients, ref_ranks = TestReplicateDowndateGate.live_column_loop(problem, index)
+
+        eps = np.finfo(float).eps
+        plus = problem.plus.astype(np.longdouble)
+        minus = problem.minus.astype(np.longdouble)
+        exact = np.zeros((index.shape[0], problem.scores_from_coefficients(coefficients[0]).size))
+        bounds = np.empty(index.shape[0])
+        for b, rows in enumerate(index):
+            kept = rows[np.isin(rows, problem.nonzero_rows)]
+            A = problem.Xw[kept][:, live]
+            beta = np.zeros(problem.basis.q, dtype=np.longdouble)
+            beta[live] = long_double_min_norm(A, problem.yw[kept])
+            exact[b] = beta @ plus - beta @ minus
+            sv = scipy.linalg.svdvals(A)
+            bounds[b] = 10 * eps * sv[0] / sv[-1]
+            assert ranks[b] == ref_ranks[b] == kept.size
+        scale = np.abs(exact).max(axis=0)
+        for fits in (coefficients, ref_coefficients):
+            error = np.abs(problem.scores_from_coefficients(fits) - exact)
+            assert (error <= bounds[:, None] * scale).all()
+
+        nonzero = problem.nonzero_rows
+        beta = np.zeros(problem.basis.q, dtype=np.longdouble)
+        beta[live] = long_double_min_norm(problem.Xw[nonzero][:, live], problem.yw[nonzero])
+        exact = beta @ plus - beta @ minus
+        error = np.abs(problem.scores_from_coefficients(problem.point_fit.coefficients) - exact)
+        assert (error <= 10 * eps * problem.row_condition * np.abs(exact).max()).all()
+
     def test_dependent_row_peak_memory(self):
         """B=500 downdates of dependent rows at the paper's settings: the chunked stacks keep the peak under 2.5 MB.
 
@@ -711,10 +800,14 @@ class TestReplicateDowndateGate:
         assert (np.abs(scores - ref_scores) <= 1e-7 * np.abs(ref_scores).max(axis=0)).all()
 
     def test_condition_just_above_the_gate_takes_the_gelsy_loop(self):
-        problem = self.paper_problem(sim.generate_dataset(2000, 0), 13)
-        assert 1e8 < problem.row_condition < 1.1e8
+        # a copy of row 1 with x1 moved by 1.6e-6 joins its neighborhood: the
+        # rows stay independent, with a condition number just above 1e10
+        problem = self.paper_problem(near_copy_dataset(1.6e-6), 1)
+        assert 2000 in problem.neighborhood.member_indices
+        assert problem.row_rank == problem.nonzero_rows.size <= problem.live_columns.size
+        assert 1e10 < problem.row_condition < 1.1e10
         assert problem.replicate_solve == "gelsy"
-        self.assert_gelsy_loop(problem, 13)
+        self.assert_gelsy_loop(problem, 1)
 
     def test_more_rows_than_live_terms_take_the_gelsy_loop(self):
         # at c=0.5 every subset drops at least as many rows as there are live
