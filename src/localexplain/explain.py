@@ -68,12 +68,15 @@ ROW_CONDITION_MAX = 1e8
 #: 6.5 eps kappa of each score's largest magnitude and gelsy's within 4.6.
 INDEPENDENT_ROW_CONDITION_MAX = 1e10
 
-#: Row deletion accepts a replicate only when the smallest eigenvalue of
-#: ``I - U_D U_D'`` (the squared smallest singular value of the kept rows of
-#: ``U``) is at least this.  With ``ROW_CONDITION_MAX`` it bounds an accepted
-#: replicate's condition number by 1e10.  The downdate of dependent rows
-#: counts a singular value of ``W_D`` whose square is at least this as a
-#: relation the dropped rows touch.
+#: Row deletion accepts a replicate only when the smallest eigenvalue of its
+#: Gram matrix ``U_K' U_K`` (the squared smallest singular value of the kept
+#: rows of ``U``) is at least this.  With ``ROW_CONDITION_MAX`` it bounds an
+#: accepted replicate's condition number by 1e10.  This is not the normal
+#: equations of the raw basis, which square the condition of ``X_K`` (up to
+#: 1e20): ``U`` is orthonormal, so the Gram matrix squares only the
+#: condition of ``U_K``, at most 1e2 once gated, and its own is at most 1e4.
+#: The downdate of dependent rows counts a singular value of ``W_D`` whose
+#: square is at least this as a relation the dropped rows touch.
 DELETION_GATE = 1e-4
 
 #: The downdate of dependent rows counts a singular value of ``W_D`` (the
@@ -89,6 +92,12 @@ KEPT_RELATION_MAX = 1e-6
 #: hold several copies) and run no faster.
 _CHUNK_BYTES = 1 << 17
 
+#: The same bound for row deletion's p x p Gram systems, counted as p by
+#: max(p, rows of the side they are formed from) per replicate.  At p = 79
+#: and 128 rows a side, ``_CHUNK_BYTES`` would stack one replicate at a
+#: time and this stacks six; on the sweep grid larger stacks ran no faster.
+_GRAM_CHUNK_BYTES = 1 << 19
+
 #: How ``LocalProblem.solve_rows`` solved each replicate, by the codes it
 #: returns: ``ROUTES[code]``.
 ROUTES = ("downdate", "deletion", "gelsy")
@@ -98,26 +107,29 @@ DOWNDATE, DELETION, GELSY = range(len(ROUTES))
 def _deletion_pays(most_dropped: int, m_prime: int, n_live: int) -> bool:
     """Whether row deletion should solve subsets of m' rows dropping at most ``most_dropped`` nonzero ones.
 
-    Every subset must drop fewer nonzero rows than there are live terms
-    (d < p, so its Woodbury system is d x d) and keep at least p members
-    beyond the d it drops (m' - d >= p); both get harder as d grows, so the
-    largest d decides.  With less margin a subset often loses the support of
-    a column, fails ``DELETION_GATE`` and pays for both routes: at k=4,
-    m=128, c=0.7 of the sweep grid (m' - d = 50 against p = 79) three
-    subsets in four did.  A batch of which only some subsets qualify does
-    not repay the SVD and the batch set-up: at k=1, m=64, c=0.9 (d of 6 or
-    7 against p = 7) one subset in ten qualified and the batch ran 0.4 ms
-    slower than gelsy alone.
+    A batch whose subsets all drop fewer nonzero rows than there are live
+    terms (d < p, each a d x d Woodbury system) must keep at least p
+    members beyond the d it drops (m' - d >= p), and the largest d decides.
+    With less margin a subset often loses the support of a column, fails
+    ``DELETION_GATE`` and pays for both routes: at k=4, m=128, c=0.7 of the
+    sweep grid (m' - d = 50 against p = 79) three subsets in four did.  A
+    batch that may drop p rows or more solves those subsets as p x p Gram
+    systems, whose cost does not grow with d, and needs m' >= 1.5 p: below
+    that, a fifth to a third of the subsets failed the gate at k=1, m=32,
+    c=0.3, at k=2, m=64, c=0.5 and at k=3, m=128, c=0.5, and those batches
+    ran 1.3 to 1.5 times as long as gelsy alone.
     """
-    return most_dropped < n_live and m_prime - most_dropped >= n_live
+    if most_dropped < n_live:
+        return m_prime - most_dropped >= n_live
+    return 2 * m_prime >= 3 * n_live
 
 
 def _positive_definite(stack: np.ndarray) -> np.ndarray:
     """Which symmetric matrices of a stack have a Cholesky factor.
 
-    One batched Cholesky passes a stack whose members all have one; a stack
-    that fails is split in halves until the failing members are found.
-    This costs a fraction of a batched ``eigvalsh`` while failures are rare.
+    One batched Cholesky passes a stack whose members all have one; when it
+    fails, each member is factored on its own, so any number of failures
+    costs one more factorization per member.
     """
     try:
         np.linalg.cholesky(stack)
@@ -125,8 +137,7 @@ def _positive_definite(stack: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         if len(stack) == 1:
             return np.zeros(1, dtype=bool)
-        half = len(stack) // 2
-        return np.concatenate([_positive_definite(stack[:half]), _positive_definite(stack[half:])])
+        return np.concatenate([_positive_definite(stack[i:i + 1]) for i in range(len(stack))])
 
 
 def _condition(s: np.ndarray, rank: int) -> float:
@@ -438,10 +449,11 @@ class LocalProblem:
         * ``downdate`` (N <= p): every subset, by :meth:`_downdate`, except
           one of dependent rows (r < N) whose relations the dropped rows
           neither clearly touch nor clearly miss, which goes to gelsy;
-        * ``deletion`` (N > p): every subset, by :meth:`_delete`, when the
-          largest d any subset can have, min(N, m - m'), passes the shape
-          rule :func:`_deletion_pays`; a subset whose kept rows fail
-          ``DELETION_GATE`` goes to gelsy;
+        * ``deletion`` (N > p): every subset, by :meth:`_delete`, when m'
+          and the largest d any subset can have, min(N, m - m'), pass the
+          shape rule :func:`_deletion_pays` (m' - d >= p while d < p, else
+          m' >= 1.5 p); a subset whose kept rows fail ``DELETION_GATE`` goes
+          to gelsy;
         * ``gelsy``: every other subset, one LAPACK gelsy call each, one at
           a time (stacking them would hold B copies of the design matrix).
 
@@ -583,38 +595,62 @@ class LocalProblem:
         """Overdetermined subset fits over the live columns, by deleting rows from one SVD.
 
         With ``U S V'`` of the N nonzero rows (N > p, full column rank), a
-        subset that keeps rows K and drops D solves ``U_K' U_K w = r`` with
-        ``r = U' y - U_D' y_D`` and fits ``beta = V (w / S)``.  Since
-        ``U_K' U_K = I - U_D' U_D``, Woodbury gives ``w = r + U_D' M^-1 U_D r``
-        with the d x d matrix ``M = I - U_D U_D'`` (d < p), whose smallest
-        eigenvalue is the squared smallest singular value of ``U_K``.  A
-        subset is accepted when that eigenvalue is at least ``DELETION_GATE``;
-        the others are returned unsolved, for gelsy.  Subsets are grouped by
-        drop count and stacked in chunks of at most ``_CHUNK_BYTES``.
-        Returns the mask of accepted subsets, each of rank p, and their fits.
+        subset that keeps rows K and drops D solves ``G w = r`` with the
+        p x p Gram matrix ``G = U_K' U_K = I - U_D' U_D`` and
+        ``r = U' y - U_D' y_D = U_K' y_K``, and fits ``beta = V (w / S)``.
+        A subset that drops d < p rows takes Woodbury,
+        ``w = r + U_D' M^-1 U_D r`` with the d x d matrix ``M = I - U_D U_D'``,
+        which has the same smallest eigenvalue as ``G``.
+        One that drops d >= p solves ``G`` itself, formed from the side with
+        fewer rows: ``U_K' U_K`` from the kept rows or ``I - U_D' U_D`` from
+        the dropped ones.  A subset is accepted when that eigenvalue, the
+        squared smallest singular value of ``U_K``, is at least
+        ``DELETION_GATE`` (a Cholesky factor of ``M`` or ``G`` less that
+        times ``I``); the others are returned unsolved, for gelsy.  Subsets
+        are grouped by drop count and stacked in chunks of at most
+        ``_CHUNK_BYTES`` (``_GRAM_CHUNK_BYTES`` for ``G``).  Returns the mask
+        of accepted subsets, each of rank p, and their fits.
         """
         _, (s, u, uty, vt, _, _) = self._row_svd
         y = self.yw[self.nonzero_rows]
-        w = np.empty((drop_counts.size, s.size))
+        n_rows, n_live = u.shape
+        w = np.empty((drop_counts.size, n_live))
         solved = np.ones(drop_counts.size, dtype=bool)
         for count in np.unique(drop_counts):
             subsets = np.flatnonzero(drop_counts == count)
             if count == 0:
                 w[subsets] = uty
                 continue
-            positions = np.nonzero(dropped[subsets])[1].reshape(subsets.size, count)
-            chunk = max(1, _CHUNK_BYTES // (8 * s.size * count))
+            gram = count >= n_live
+            kept_side = gram and n_rows - count < count
+            side = n_rows - count if kept_side else count
+            if gram:
+                chunk = max(1, _GRAM_CHUNK_BYTES // (8 * n_live * max(side, n_live)))
+                eye = np.eye(n_live)
+            else:
+                chunk = max(1, _CHUNK_BYTES // (8 * n_live * count))
+                eye = np.eye(count)
             for start in range(0, subsets.size, chunk):
                 at = subsets[start:start + chunk]
-                u_d = u[positions[start:start + chunk]]  # (chunk, d, p)
-                r = uty - (y[positions[start:start + chunk]][:, None, :] @ u_d)[:, 0]
-                m = np.eye(count) - u_d @ u_d.transpose(0, 2, 1)
-                ok = _positive_definite(m - DELETION_GATE * np.eye(count))
+                pos = np.nonzero(~dropped[at] if kept_side else dropped[at])[1].reshape(at.size, side)
+                u_side = u[pos]  # (chunk, side, p)
+                along = (y[pos][:, None, :] @ u_side)[:, 0]
+                r = along if kept_side else uty - along  # U_K' y_K
+                if gram:
+                    m = u_side.transpose(0, 2, 1) @ u_side
+                    if not kept_side:
+                        m = eye - m
+                else:
+                    m = eye - u_side @ u_side.transpose(0, 2, 1)
+                ok = _positive_definite(m - DELETION_GATE * eye)
                 if not ok.all():
                     solved[at[~ok]] = False
-                    at, u_d, r, m = at[ok], u_d[ok], r[ok], m[ok]
-                x = np.linalg.solve(m, u_d @ r[:, :, None])
-                w[at] = r + (u_d.transpose(0, 2, 1) @ x)[:, :, 0]
+                    at, u_side, r, m = at[ok], u_side[ok], r[ok], m[ok]
+                if gram:
+                    w[at] = np.linalg.solve(m, r[:, :, None])[:, :, 0]
+                else:
+                    x = np.linalg.solve(m, u_side @ r[:, :, None])
+                    w[at] = r + (u_side.transpose(0, 2, 1) @ x)[:, :, 0]
         return solved, (w[solved] / s) @ vt
 
     # -- naive closed-form interval -----------------------------------------

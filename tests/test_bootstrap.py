@@ -198,7 +198,8 @@ class TestIntervals:
 
     @pytest.mark.parametrize("degree, m, c, route", [
         (2, 40, 0.95, "deletion"),  # 39 nonzero rows, 3 live terms, 1-2 dropped
-        (2, 40, 0.5, "gelsy"),  # 19-20 dropped: at least the live terms
+        (2, 40, 0.5, "deletion"),  # 19-20 dropped, at least the live terms: the Gram form
+        (4, 40, 0.1, "gelsy"),  # 4 rows kept, fewer than the 5 live terms
         (4, 5, 0.6, "downdate"),  # 4 nonzero rows, 5 live terms
     ])
     def test_solved_by_counts_every_replicate_by_route(self, degree, m, c, route):

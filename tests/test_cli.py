@@ -287,17 +287,20 @@ class TestExplain:
         assert main(["simulate", "--n", "400", "--seed", "4",
                      "--data-out", str(data), "--schema-out", str(schema)]) == EXIT_OK
         src = os.path.dirname(os.path.dirname(localexplain.__file__))
-        # m=256 at k=4: each replicate is 128 (c=0.5) or 230 (c=0.9) rows by
-        # ~79 live columns, large enough that a multi-threaded OpenBLAS splits
-        # gelsy's level-2 calls.  At c=0.5 each drops more rows than there are
-        # live terms and takes gelsy; at c=0.9 they take row deletion.  m=66
-        # at k=4 is the paper's setting, where the replicates are downdates
-        # of the neighborhood's interpolant; query 310 has dependent rows
-        # (rank 62 of 65), downdated from the SVD truncated at that rank,
-        # but for the few replicates it leaves to gelsy.
+        # m=256 at k=4: each replicate is 76 (c=0.3), 128 (c=0.5) or 230
+        # (c=0.9) rows by ~79 live columns, large enough that a multi-threaded
+        # OpenBLAS splits gelsy's level-2 calls and the batched products of
+        # row deletion.  At c=0.3 each keeps fewer rows than there are live
+        # terms and takes gelsy; at c=0.5 each drops more rows than there are
+        # live terms and takes row deletion's Gram form, at c=0.9 its
+        # Woodbury form.  m=66 at k=4 is the paper's setting, where the
+        # replicates are downdates of the neighborhood's interpolant; query
+        # 310 has dependent rows (rank 62 of 65), downdated from the SVD
+        # truncated at that rank, but for the few replicates it leaves to gelsy.
         for query, m, c, solve, least in (
-            ("3", "256", "0.5", "gelsy", 90), ("3", "256", "0.9", "deletion", 90),
-            ("3", "66", "0.9", "downdate", 90), ("310", "66", "0.9", "downdate", 80),
+            ("3", "256", "0.3", "gelsy", 100), ("3", "256", "0.5", "deletion", 90),
+            ("3", "256", "0.9", "deletion", 90), ("3", "66", "0.9", "downdate", 90),
+            ("310", "66", "0.9", "downdate", 80),
         ):
             dumps = []
             for blas_threads in ("1", None):

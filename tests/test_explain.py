@@ -17,6 +17,7 @@ from localexplain.explain import (
     GELSY,
     ExplainConfig,
     ExplainError,
+    _positive_definite,
     build_problem,
 )
 from localexplain.neighborhood import QueryPoint
@@ -602,7 +603,7 @@ class TestReplicateSolve:
         scores = problem.scores_from_coefficients(coefficients[same])
         ref_scores = problem.scores_from_coefficients(ref_coefficients[same])
         assert (np.abs(scores - ref_scores) <= 1e-7 * np.abs(ref_scores).max(axis=0)).all()
-        return routes
+        return problem, index, routes
 
     @pytest.mark.parametrize("row, k, m, c", [
         (8, 1, 64, 0.95),  # at c=0.9 a subset may drop 7 nonzero rows, as many as p
@@ -614,8 +615,24 @@ class TestReplicateSolve:
     ])
     def test_deletion_cells_match_the_full_basis_solve(self, row, k, m, c):
         """Cells with more nonzero rows than live terms where row deletion takes the batch."""
-        routes = self.check_against_full_basis(row, k, m, c, 200, 0, weighted=True)
+        _, _, routes = self.check_against_full_basis(row, k, m, c, 200, 0, weighted=True)
         assert (routes == DELETION).sum() >= 195
+
+    @pytest.mark.parametrize("row, k, m, c, sides, least", [
+        (14, 1, 256, 0.3, {"kept"}, 200),  # 179-180 dropped against 75-76 kept
+        (15, 2, 128, 0.3, {"kept"}, 180),
+        (16, 3, 256, 0.7, {"dropped"}, 200),  # 76-77 dropped against 178-179 kept
+        (17, 3, 256, 0.5, {"dropped", "kept"}, 200),  # 127 or 128 of 255 dropped
+        (18, 4, 256, 0.5, {"dropped", "kept"}, 180),
+    ])
+    def test_gram_cells_match_the_full_basis_solve(self, row, k, m, c, sides, least):
+        """Cells whose subsets all drop at least p rows: p x p Gram systems, formed from the side with fewer rows."""
+        problem, index, routes = self.check_against_full_basis(row, k, m, c, 200, 0, weighted=True)
+        n_rows, n_live = problem.nonzero_rows.size, problem.live_columns.size
+        _, drop_counts = problem._dropped_rows(index)
+        assert (drop_counts >= n_live).all()
+        assert {"kept" if n_rows - d < d else "dropped" for d in drop_counts.tolist()} == sides
+        assert (routes == DELETION).sum() >= least
 
     @pytest.mark.parametrize("make_dataset, row, relations, c", [
         (lambda: sim.generate_dataset(2000, 0), 0, 1, 0.9),
@@ -732,6 +749,25 @@ class TestReplicateSolve:
         assert (routes == DOWNDATE).sum() >= 450
         assert peak < 2.5 * 2**20
 
+    def test_gram_deletion_peak_memory(self):
+        """B=500 subsets of 128 rows at k=4, m=256, each dropping about 127 of them: the peak stays under 3 MB.
+
+        Unchunked, one side's rows of ``U`` alone would take 500 x 127 x 79
+        floats, 40 MB, and the Gram matrices 500 x 79 x 79, 25 MB.
+        """
+        ds = sim.generate_dataset(2000, 0)
+        problem = build_problem(ds, QueryPoint.from_row(ds, 0), ExplainConfig(degree=4, m=256, kind="gradient"))
+        index = replicate_indices(0, 500, problem.m, int(np.floor(0.5 * problem.m)))
+        tracemalloc.start()
+        try:
+            _, _, routes = problem.solve_rows(index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (problem._dropped_rows(index)[1] >= problem.live_columns.size).all()
+        assert (routes == DELETION).sum() >= 450
+        assert peak < 3 * 2**20
+
     def test_deletion_peak_memory(self):
         """B=500 subsets of 230 rows at k=4, m=256: the chunked stacks keep the peak under 3 MB.
 
@@ -810,23 +846,29 @@ class TestReplicateDowndateGate:
         self.assert_gelsy_loop(problem, 1)
 
     def test_more_rows_than_live_terms_take_the_gelsy_loop(self):
-        # at c=0.5 every subset drops at least as many rows as there are live
-        # terms, so the shape rule sends all of them to gelsy
+        # at c=0.3 every subset keeps 19 rows, fewer than the 22 live terms,
+        # so the shape rule sends all of them to gelsy
         problem = self.paper_problem(sim.generate_dataset(2000, 0), 1, degree=2, m=64)
-        assert problem.nonzero_rows.size > problem.live_columns.size
-        self.assert_gelsy_loop(problem, 1, c=0.5)
+        assert problem.nonzero_rows.size > problem.live_columns.size == 22
+        self.assert_gelsy_loop(problem, 1, c=0.3)
         assert "_row_svd" not in vars(problem)  # the replicates took no SVD
         assert 1.0 <= problem.row_condition < math.inf
-        assert problem.replicate_solve == "deletion"  # open to subsets that drop fewer rows
+        assert problem.replicate_solve == "deletion"  # open to subsets that keep more rows
 
-    def test_a_batch_that_may_drop_as_many_rows_as_live_terms_takes_gelsy(self):
+    def test_a_batch_straddling_as_many_dropped_rows_as_live_terms_takes_both_forms(self):
         # k=1, m=64, c=0.9: a subset drops 6 or 7 nonzero rows against p=7, so
-        # the largest drop count fails the shape rule and the whole batch
-        # takes gelsy, though the subsets that drop 6 would pass it
+        # one batch holds 6 x 6 Woodbury systems and 7 x 7 Gram systems
         problem = self.paper_problem(sim.generate_dataset(2000, 0), 8, degree=1, m=64)
         assert problem.nonzero_rows.size == 63 and problem.live_columns.size == 7
-        self.assert_gelsy_loop(problem, 8)
-        assert "_row_svd" not in vars(problem)
+        index = replicate_indices(8, 100, problem.m, int(np.floor(0.9 * problem.m)))
+        coefficients, ranks, routes = problem.solve_rows(index)
+        assert set(problem._dropped_rows(index)[1].tolist()) == {6, 7}
+        assert (routes == DELETION).all() and (ranks == 7).all()
+        ref_coefficients, ref_ranks = self.live_column_loop(problem, index)
+        assert (ref_ranks == 7).all()
+        scores = problem.scores_from_coefficients(coefficients)
+        ref_scores = problem.scores_from_coefficients(ref_coefficients)
+        assert (np.abs(scores - ref_scores) <= 1e-7 * np.abs(ref_scores).max(axis=0)).all()
 
     def test_more_rows_than_live_terms_above_the_row_condition_gate(self):
         # x2 = 3 x1 + 1 up to 1e-9: 80 rows over 3 columns, condition ~1e10
@@ -841,8 +883,8 @@ class TestReplicateDowndateGate:
         assert problem.replicate_solve == "gelsy"
         self.assert_gelsy_loop(problem, 2)
 
-    def test_a_subset_that_loses_a_level_takes_gelsy(self):
-        """Deletion's gate rejects a subset that drops every row of one category."""
+    def assert_a_subset_that_loses_a_level_takes_gelsy(self, c):
+        """Deletion's gate rejects a subset that drops every row of one category; returns its drop count, m' and p."""
         problem = self.paper_problem(sim.generate_dataset(2000, 0), 1, degree=2, m=128)
         assert problem.replicate_solve == "deletion"
         live, n_live = problem.live_columns, problem.live_columns.size
@@ -851,19 +893,43 @@ class TestReplicateDowndateGate:
         level = np.argmin(nonzero.sum(axis=0))
         level_rows = np.flatnonzero(nonzero[:, level])
         assert 0 < level_rows.size < n_live
-        m_prime = int(np.floor(0.9 * problem.m))
+        m_prime = int(np.floor(c * problem.m))
         kept = np.setdiff1d(np.arange(problem.m), level_rows)[:m_prime]
         others = replicate_indices(3, 20, problem.m, m_prime)
         index = np.vstack([kept, others])
         coefficients, ranks, routes = problem.solve_rows(index)
         # the shape rule admits the subset; the gate sends it to gelsy
-        drops = problem.nonzero_rows.size - np.isin(problem.nonzero_rows, kept).sum()
-        assert drops < n_live <= m_prime - drops
         assert routes[0] == GELSY and ranks[0] < n_live
         assert (routes[1:] == DELETION).sum() >= 15
         ref_coefficients, ref_ranks = self.live_column_loop(problem, index[:1])
         assert coefficients[0].tobytes() == ref_coefficients[0].tobytes()
         assert ranks[0] == ref_ranks[0]
+        return problem.nonzero_rows.size - np.isin(problem.nonzero_rows, kept).sum(), m_prime, n_live
+
+    def test_a_subset_that_loses_a_level_takes_gelsy(self):
+        drops, m_prime, n_live = self.assert_a_subset_that_loses_a_level_takes_gelsy(0.9)
+        assert drops < n_live <= m_prime - drops  # the Woodbury form's batch
+
+    def test_a_subset_that_drops_many_rows_and_a_level_takes_gelsy(self):
+        drops, m_prime, n_live = self.assert_a_subset_that_loses_a_level_takes_gelsy(0.5)
+        assert drops >= n_live and 2 * m_prime >= 3 * n_live  # the Gram form's batch
+
+    def test_positive_definite_matches_a_per_matrix_cholesky_loop(self):
+        """Failures scattered through a stack give the mask a Cholesky of each member gives."""
+        rng = np.random.default_rng(12)
+        basis = rng.standard_normal((200, 30, 60))
+        stack = basis @ basis.transpose(0, 2, 1) / 60 - 0.08 * np.eye(30)
+        stack[[3, 17, 18, 101, 199], 5, 5] = -1.0  # besides those the shift leaves indefinite
+        expected = []
+        for matrix in stack:
+            try:
+                np.linalg.cholesky(matrix)
+                expected.append(True)
+            except np.linalg.LinAlgError:
+                expected.append(False)
+        assert 5 < expected.count(False) < 50
+        assert _positive_definite(stack).tolist() == expected
+        assert _positive_definite(stack[expected]).all()
 
     def test_zero_weight_member_lowers_the_rank_by_one(self):
         problem = self.paper_problem(sim.generate_dataset(2000, 0), 1)
