@@ -106,14 +106,14 @@ def _parse_deltas(pairs: list[str]) -> dict[str, float]:
 
 
 def _parse_query(text: str, dataset) -> QueryPoint:
-    if text.strip().isdigit():
-        return QueryPoint.from_row(dataset, int(text.strip()))
+    if text.strip().removeprefix("-").isdecimal():
+        return QueryPoint.from_row(dataset, int(text))
     try:
         values = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"--query must be a row index or a JSON object: {exc}") from exc
     if not isinstance(values, dict):
-        raise DataError("--query JSON must be an object of feature values")
+        raise DataError("--query must be a row index or a JSON object of feature values")
     return QueryPoint.from_mapping(dataset.schema, values)
 
 
@@ -201,7 +201,6 @@ def _report_for_problem(problem: LocalProblem, boot: BootstrapConfig, naive_ci: 
     }
     if naive_skipped:
         diagnostics["naive_ci_skipped"] = naive_skipped
-    diagnostics.update(problem.notes)
     metadata = {
         "k": problem.config.degree,
         "m": problem.config.m,

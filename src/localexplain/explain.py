@@ -216,9 +216,8 @@ class LocalProblem:
 
     Shared by the point estimate, the naive interval, and bootstrap
     replicates so that they agree on the neighborhood, basis, targets and
-    score matrices.  Only the cached fits and ``notes`` (where
-    :meth:`naive_interval` records a pseudo-inverse fallback) change after
-    construction, deterministically, so instances are safe to share across threads.
+    score matrices.  Only the cached fits change after construction,
+    deterministically, so instances are safe to share across threads.
     """
 
     def __init__(self, dataset: QueryDataset, query: QueryPoint, config: ExplainConfig):
@@ -260,7 +259,6 @@ class LocalProblem:
         )[0]
         self.deltas = self._resolve_deltas()
         self.score_names, self.score_kinds, self.plus, self.minus = self._score_matrices()
-        self.notes: dict[str, object] = {}
         if self.nonzero_rows.size < self.live_columns.size:
             warnings.warn(
                 f"{self.nonzero_rows.size} nonzero weighted rows (m={config.m}) are fewer than "
@@ -655,27 +653,28 @@ class LocalProblem:
 
     # -- naive closed-form interval -----------------------------------------
 
-    @functools.cached_property
-    def _ols(self) -> tuple[np.ndarray, float, int, np.ndarray]:
-        """Unweighted least-squares fit of the neighborhood: beta, RSS, rank, X'X."""
-        beta, rank = lstsq_min_norm(self.X, self.y)
-        resid = self.y - self.X @ beta
-        return beta, float(resid @ resid), rank, self.X.T @ self.X
+    #: Always empty; kept only while ``benchmarks/tracer.py`` reads it.
+    notes = property(lambda self: {})
 
     @functools.cached_property
-    def _ols_pinv(self) -> np.ndarray:
-        return np.linalg.pinv(self._ols[3], hermitian=True)
+    def _ols(self) -> tuple[np.ndarray, float, np.ndarray]:
+        """Unweighted least-squares fit of the neighborhood: beta, RSS, pinv(X'X)."""
+        beta, _ = lstsq_min_norm(self.X, self.y)
+        resid = self.y - self.X @ beta
+        return beta, float(resid @ resid), np.linalg.pinv(self.X.T @ self.X, hermitian=True)
 
     def naive_interval(self, feature: str, alpha: float = 0.05) -> NaiveInterval:
         """Closed-form z-interval for the derivative of ``feature`` at the query.
 
         Always computed from an ordinary (unweighted) least-squares fit on
         the neighborhood, per the classical derivation: theta = beta . v,
-        Var(theta) = v' (X'X)^{-1} v * sigma2 with sigma2 = RSS / dof and
-        dof = m - d - 1 (d = number of raw features).  The loading v is the
-        feature's gradient score column, so the problem must be gradient-kind
-        with raw (non-probability) outputs, and the feature numeric.  The
-        fit, X'X and its pseudo-inverse are computed once per problem.
+        Var(theta) = v' pinv(X'X) v * sigma2 at any rank, with sigma2 = RSS
+        / dof and dof = m - d - 1 (d = number of raw features).  The loading
+        v is the feature's gradient score column, so the problem must be
+        gradient-kind with raw (non-probability) outputs, and the feature
+        numeric.  The gelsy fit and pinv(X'X) are computed once per problem.
+        pinv drops eigenvalues below 1e-15 of the largest, while gelsy keeps
+        directions of X down to eps: theta can hold one the variance omits.
         """
         if self.log_odds:
             raise ExplainError("naive intervals are not defined for log-odds targets")
@@ -691,23 +690,10 @@ class LocalProblem:
             raise ExplainError(
                 f"nonpositive degrees of freedom ({dof}) for the naive interval"
             )
-        beta, rss, rank, XtX = self._ols
-        sigma2 = rss / dof
+        beta, rss, pinv = self._ols
         v = np.ascontiguousarray(self.plus[:, self.score_names.index(feature)])
         theta = float(beta @ v)
-        # a rank-deficient X'X can still "solve" to garbage, so trust solve
-        # only when the least-squares fit found full column rank
-        solved = np.full_like(v, np.nan)
-        if rank == self.basis.q:
-            try:
-                solved = np.linalg.solve(XtX, v)
-            except np.linalg.LinAlgError:
-                pass
-        if not np.all(np.isfinite(solved)):
-            solved = self._ols_pinv @ v
-            self.notes["naive_pseudo_inverse"] = True
-        var = float(v @ solved) * sigma2
-        se = math.sqrt(max(var, 0.0))
+        se = math.sqrt(max(float(v @ (pinv @ v)) * (rss / dof), 0.0))
         z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
         return NaiveInterval(
             feature=feature,

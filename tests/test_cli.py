@@ -360,6 +360,22 @@ class TestExplain:
         err = json.loads(capsys.readouterr().err)["error"]
         assert named in err["message"]
 
+    @pytest.mark.parametrize("query, says", [
+        ("\u00b2", "--query must be a row index or a JSON object"),
+        ("-1", "row index -1 out of range for dataset of 90 rows"),
+        ("90", "row index 90 out of range for dataset of 90 rows"),
+    ], ids=["superscript_digit", "negative_row", "row_past_the_end"])
+    def test_bad_query_is_a_data_error(self, tmp_path, capsys, query, says):
+        data, schema = write_mixed_inputs(tmp_path)
+        code = main([
+            "explain", "--data", data, "--schema", schema, "--query", query,
+            "--k", "1", "--m", "45", "--B", "20",
+        ])
+        assert code == EXIT_ERROR
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "DataError"
+        assert says in err["message"]
+
     def test_malformed_schema_is_a_json_error(self, tmp_path, capsys):
         data, schema = write_mixed_inputs(tmp_path)
         with open(schema, "w", encoding="utf-8") as fh:

@@ -65,8 +65,8 @@ def test_every_diagnostics_key_is_documented(tmp_path):
     argv = ["simulate", "--n", "200", "--seed", "1", "--data-out", str(data), "--schema-out", str(schema)]
     assert main(argv) == EXIT_OK
     keys = set()
-    # a gradient fit with fewer rows than terms takes the naive pseudo-inverse;
-    # function differences skip the naive interval
+    # a gradient fit with fewer rows than terms still gets naive intervals;
+    # function differences skip them and add naive_ci_skipped
     for k, m, kind in (("2", "12", "gradient"), ("1", "30", "function_difference")):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # m < q
@@ -75,5 +75,5 @@ def test_every_diagnostics_key_is_documented(tmp_path):
                 "--k", k, "--m", m, "--B", "20", "--kind", kind, "--naive-ci", "--out", str(out),
             ]) == EXIT_OK
         keys |= set(json.loads(out.read_text())["metadata"]["diagnostics"])
-    assert {"naive_ci_skipped", "naive_pseudo_inverse", "row_rank", "replicate_rank"} <= keys
+    assert {"naive_ci_skipped", "row_rank", "replicate_rank"} <= keys
     assert sorted(key for key in keys if f"`{key}`" not in paragraph) == []

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from localexplain import sim
-from localexplain.bootstrap import replicate_indices
+from localexplain.bootstrap import BootstrapConfig, bootstrap_from_problem, replicate_indices
 from localexplain.data import FeatureSchema, FeatureSpec, QueryDataset, from_log_odds
 from localexplain.explain import (
     DELETION,
@@ -312,6 +312,7 @@ class TestNaiveInterval:
         # x2 is x1 up to 1e-15 noise: X'X is singular to working precision,
         # yet np.linalg.solve returns (garbage) without raising; on the
         # draws below it gave standard errors of ~1e7 and exactly 0.0
+        # before every fit took the pseudo-inverse
         rng = np.random.default_rng(seed)
         x1 = rng.standard_normal(200)
         x2 = 3.0 * x1 + 1.0 + 1e-15 * rng.standard_normal(200)
@@ -327,7 +328,6 @@ class TestNaiveInterval:
     def test_collinear_features_use_pseudo_inverse(self, seed, row):
         problem = self.collinear_problem(seed, row)
         iv = problem.naive_interval("x1")
-        assert problem.notes.get("naive_pseudo_inverse") is True
         col = problem.layout.numeric_columns["x1"]
         X, v = problem.X, problem.basis.derivative_row(problem.query_enc, col)
         v = v / problem.stats.stddev("x1")
@@ -338,14 +338,33 @@ class TestNaiveInterval:
         assert iv.standard_error == pytest.approx(se, rel=1e-6)
         assert 0.0 < iv.standard_error < 1.0
 
-    def test_pseudo_inverse_noted_on_every_call(self):
-        # the note is per problem; a caller that clears it between calls
-        # still sees each call that used the pseudo-inverse
-        problem = self.collinear_problem(1, 0)
-        for feature in ("x1", "x2", "x1"):
-            problem.notes.pop("naive_pseudo_inverse", None)
-            problem.naive_interval(feature)
-            assert problem.notes.get("naive_pseudo_inverse") is True
+    @pytest.mark.parametrize("seed", range(6))
+    def test_nearly_collinear_features_get_a_positive_standard_error(self, seed):
+        # x2 = 3 x1 + 1 + eps noise: gelsy calls every fit full rank, where
+        # solving X'X v directly gave standard errors of exactly 0 or ~1e6;
+        # the pseudo-inverse drops the near-null direction for every eps
+        for eps in (1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13):
+            rng = np.random.default_rng(seed)
+            x1 = rng.uniform(-2.0, 2.0, 200)
+            x2 = 3.0 * x1 + 1.0 + eps * rng.standard_normal(200)
+            y = 1.5 * x1 + 0.3 * rng.standard_normal(200)
+            ds = QueryDataset(
+                continuous_schema(2), np.column_stack([x1, x2]),
+                np.zeros((200, 0), dtype=np.int64), y,
+            )
+            cfg = ExplainConfig(degree=1, m=80, kind="gradient", weighted=False)
+            problem = build_problem(ds, QueryPoint.from_row(ds, 0), cfg)
+            se = problem.naive_interval("x1").standard_error
+            assert math.isfinite(se) and se > 0.0, eps
+            X = problem.X
+            v = problem.basis.derivative_row(problem.query_enc, problem.layout.numeric_columns["x1"])
+            v = v / problem.stats.stddev("x1")
+            # rss of the full-rank fit that gelsy keeps, as theta's fit does
+            resid = problem.y - X @ scipy.linalg.lstsq(X, problem.y, lapack_driver="gelsy")[0]
+            rss = float(resid @ resid)
+            oracle = math.sqrt(float(v @ np.linalg.pinv(X.T @ X, hermitian=True) @ v) * rss / (80 - 2 - 1))
+            assert se == pytest.approx(oracle, rel=1e-9), eps
+            assert problem.naive_interval("x1").standard_error == se
 
     def test_function_difference_problem_rejected(self):
         ds = linear_dataset(np.random.default_rng(65), 60, 1.0, [2.0], noise=0.5)
@@ -378,7 +397,19 @@ class TestNaiveInterval:
         shared = [problem.naive_interval(f, 0.1) for f in ("x1", "x2")]
         assert len(calls) == 1
         assert shared == fresh
-        assert bool(problem.notes.get("naive_pseudo_inverse")) == (case == "pseudo_inverse")
+
+    def test_problem_changes_only_through_cached_properties(self):
+        ds = mixed_dataset(np.random.default_rng(67))
+        q = QueryPoint.from_mapping(ds.schema, {"x1": 0.2, "x2": -0.4, "color": "b"})
+        problem = build_problem(ds, q, ExplainConfig(degree=2, m=60, kind="gradient"))
+        before = dict(vars(problem))
+        problem.point_scores()
+        bootstrap_from_problem(problem, BootstrapConfig(B=20, c=0.8, seed=3))
+        for feature in ("x1", "x2"):
+            problem.naive_interval(feature)
+        after = vars(problem)
+        assert set(after) - set(before) == {"point_fit", "_row_svd", "_ols"}
+        assert all(after[name] is value for name, value in before.items())
 
     def test_width_scales_inverse_sqrt_m(self):
         rng = np.random.default_rng(59)
