@@ -18,7 +18,6 @@ and all replicates are scored at once.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,11 +159,3 @@ def bootstrap_from_problem(
     )
     return intervals_from_distribution(dist, boot.alpha), dist
 
-
-def write_scores_csv(dist: BootstrapDistribution, path: str) -> None:
-    """Dump the replicate score matrix (one named column per score) to CSV."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(dist.names)
-        for row in dist.scores:
-            writer.writerow([repr(float(v)) for v in row])

@@ -10,11 +10,12 @@ simulate   Write the synthetic ground-truth dataset and its schema.
 sweep      Coverage/width sweep over a (k, m, c) grid plus Pareto frontiers.
 
 Every output embeds the run manifest (command, hyperparameters, input file
-digests, tool version): JSON reports carry a ``manifest`` key, CSV outputs a
-leading ``# manifest: ...`` comment line.  Outputs are deterministic for a
-fixed seed.  ``summarize`` fans its instances out over a pool of ``--threads``
-workers, and its output is byte-identical for every thread count; ``sweep``
-runs serially.
+digests, tool version): JSON reports carry a ``manifest`` key, and every CSV
+output, the ``--dump-scores`` replicate scores included, is written by
+``data.write_csv`` with a leading ``# manifest: ...`` line.  Outputs are
+deterministic for a fixed seed.  ``summarize`` fans its instances out over a
+pool of ``--threads`` workers, and its output is byte-identical for every
+thread count; ``sweep`` runs serially.
 
 Exit codes: 0 success, 1 error (machine-readable JSON on stderr), 3 success
 with partial per-instance/parameter-set failures.
@@ -35,13 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bootstrap import (
-    BootstrapConfig,
-    BootstrapError,
-    bootstrap_from_problem,
-    write_scores_csv,
-)
-from .data import DataError, FeatureSchema, load_dataset, read_csv_header, write_dataset_csv
+from .bootstrap import BootstrapConfig, BootstrapError, bootstrap_from_problem
+from .data import DataError, FeatureSchema, load_dataset, open_output, read_csv_header, write_csv, write_dataset_csv
 from .explain import ExplainConfig, ExplainError, LocalProblem, build_problem
 from .neighborhood import BalanceError, QueryPoint
 from .polyfit import FitError
@@ -59,6 +55,10 @@ EXIT_ERROR = 1
 EXIT_PARTIAL = 3
 
 _MASK64 = (1 << 64) - 1
+
+SUMMARY_COLUMNS = (
+    "feature", "mean_abs_score", "mean_interval_width", "instances_ok", "instances_failed", "low_success"
+)
 
 _CLI_ERRORS = (DataError, BalanceError, FitError, ExplainError, BootstrapError, ValueError, OSError)
 
@@ -119,14 +119,6 @@ def _parse_query(text: str, dataset) -> QueryPoint:
 
 def _parse_list(text: str, cast):
     return tuple(cast(part) for part in text.split(",") if part.strip())
-
-
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 def _explain_config(args, deltas) -> ExplainConfig:
@@ -231,9 +223,10 @@ def cmd_explain(args) -> int:
         {"data": args.data, "schema": args.schema},
     )
     report["manifest"] = manifest.as_dict()
-    _write_text(args.out, json.dumps(report, indent=2) + "\n")
+    with open_output(args.out) as fh:
+        fh.write(json.dumps(report, indent=2) + "\n")
     if args.dump_scores:
-        write_scores_csv(dist, args.dump_scores)
+        write_csv(args.dump_scores, dist.names, dist.scores.tolist(), manifest.comment_line())
     return EXIT_OK
 
 
@@ -296,15 +289,13 @@ def cmd_summarize(args) -> int:
         _explain_parameters(args, deltas),
         {"data": args.data, "schema": args.schema, "queries": args.queries},
     )
-    lines = [f"# {manifest.comment_line()}"]
-    lines.append("feature,mean_abs_score,mean_interval_width,instances_ok,instances_failed,low_success")
     ok = len(successes)
-    for name in names:
-        mean_abs = float(np.mean([res[name][0] for res in successes]))
-        mean_width = float(np.mean([res[name][1] for res in successes]))
-        low = int(ok < 0.8 * total)
-        lines.append(f"{name},{mean_abs!r},{mean_width!r},{ok},{total - ok},{low}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    table = [
+        [name, float(np.mean([res[name][0] for res in successes])),
+         float(np.mean([res[name][1] for res in successes])), ok, total - ok, int(ok < 0.8 * total)]
+        for name in names
+    ]
+    write_csv(args.out, SUMMARY_COLUMNS, table, manifest.comment_line())
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
@@ -316,11 +307,8 @@ def cmd_summarize(args) -> int:
 def cmd_simulate(args) -> int:
     dataset = generate_dataset(args.n, args.seed)
     manifest = _manifest("simulate", {"n": args.n, "seed": args.seed}, {})
-    with open(args.data_out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# {manifest.comment_line()}\n")
-        write_dataset_csv(dataset, fh)
-    with open(args.schema_out, "w", encoding="utf-8") as fh:
-        fh.write(dataset.schema.to_json() + "\n")
+    write_dataset_csv(dataset, args.data_out, comment=manifest.comment_line())
+    Path(args.schema_out).write_text(dataset.schema.to_json() + "\n", encoding="utf-8")
     return EXIT_OK
 
 

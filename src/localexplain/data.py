@@ -13,6 +13,7 @@ back.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -20,6 +21,7 @@ import json
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass, replace
 from typing import IO, Mapping
 
@@ -364,8 +366,10 @@ def load_dataset(
     values.  A path (``str`` or ``os.PathLike``) is parsed in C by
     ``np.loadtxt``; bytes, streams and any file the C parse rejects go
     through the row parser, whose errors name the offending 1-based data row
-    and column.
+    and column.  An output column that is also a schema feature is an error.
     """
+    if output_column in schema.names:
+        raise DataError("the output column is also a schema feature", column=output_column)
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8", newline="") as stream:
             parsed = _parse_in_c(stream, schema, output_column)
@@ -480,18 +484,37 @@ def _parse_rows(stream: IO, schema: FeatureSchema, output_column: str):
     return numeric, codes, np.asarray(outputs)
 
 
-def write_dataset_csv(dataset: QueryDataset, stream: IO, output_column: str = "f") -> None:
-    """Write a dataset to a text stream in the CSV layout accepted by load_dataset.
+def write_dataset_csv(
+    dataset: QueryDataset, path: str | os.PathLike | None, output_column: str = "f", comment: str | None = None
+) -> None:
+    """Write a dataset with :func:`write_csv`, in the layout accepted by load_dataset."""
+    rows = ([*dataset.row_mapping(i).values(), output] for i, output in enumerate(dataset.outputs.tolist()))
+    write_csv(path, [*dataset.schema.names, output_column], rows, comment)
 
-    Rows end in a bare LF; open a file stream with ``newline=""`` to keep it.
+
+def open_output(path: str | os.PathLike | None):
+    """The text stream to write an output to: stdout for None or ``"-"``, else the UTF-8 file at ``path``."""
+    if path is None or path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+def write_csv(path: str | os.PathLike | None, header, rows, comment: str | None = None) -> None:
+    """Write one CSV output to :func:`open_output`; every table the command line writes comes here.
+
+    Rows end in a bare LF, the ``csv`` module quotes only the cells that need
+    it, floats are written with ``repr`` and None as an empty cell.
+    ``comment`` (the run manifest) is a leading ``# `` line.
     """
-    schema = dataset.schema
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow([*schema.names, output_column])
-    for i in range(dataset.n):
-        values = dataset.row_mapping(i).values()
-        cells = [v if isinstance(v, str) else repr(v) for v in values]
-        writer.writerow([*cells, repr(float(dataset.outputs[i]))])
+    with open_output(path) as stream:
+        if comment is not None:
+            stream.write(f"# {comment}\n")
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            ["" if cell is None else repr(float(cell)) if isinstance(cell, float) else cell for cell in row]
+            for row in rows
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bootstrap import BootstrapConfig, BootstrapError, bootstrap_from_problem
-from .data import DataError, FeatureSchema, FeatureSpec, QueryDataset
+from .data import DataError, FeatureSchema, FeatureSpec, QueryDataset, read_csv_header, write_csv
 from .explain import GRADIENT, ExplainConfig, ExplainError, build_problem
 from .neighborhood import BalanceError, QueryPoint
 from .polyfit import FitError
@@ -284,52 +284,33 @@ SWEEP_COLUMNS = ("method", "k", "m", "c", "avg_width", "coverage", "failed_point
 
 
 def write_sweep_csv(records: Iterable[SweepRecord], path: str, header_comment: str | None = None) -> None:
-    """Write records in the stable (method, k, m, c) order, one row each."""
-    rows = sorted(records, key=_record_sort_key)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.method,
-                    "" if r.k is None else r.k,
-                    "" if r.m is None else r.m,
-                    "" if r.c is None else repr(float(r.c)),
-                    repr(float(r.avg_width)),
-                    repr(float(r.coverage)),
-                    r.failed_points,
-                ]
-            )
+    """Write records in the stable (method, k, m, c) order, one row each, in ``write_csv``'s format."""
+    rows = (
+        [r.method, r.k, r.m, None if r.c is None else float(r.c), float(r.avg_width), float(r.coverage),
+         r.failed_points]
+        for r in sorted(records, key=_record_sort_key)
+    )
+    write_csv(path, SWEEP_COLUMNS, rows, header_comment)
 
 
 def read_baseline_csv(path: str) -> list[SweepRecord]:
-    """Externally produced (method, avg_width, coverage) rows for overlay plots."""
+    """Externally produced (method, avg_width, coverage) rows for overlay plots.
+
+    Read with the data CSV's rules (``read_csv_header``, stripped cells, blank
+    rows skipped); optional ``k``, ``m`` and ``c`` columns fill in the
+    parameter set, and a row shorter than the header is an error.
+    """
     records = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if not rows:
-        return records
-    header = [h.strip() for h in rows[0]]
-    for col in ("method", "avg_width", "coverage"):
-        if col not in header:
-            raise ValueError(f"baseline CSV is missing column {col!r}")
-    for number, row in enumerate(rows[1:], start=1):
-        if len(row) < len(header):
-            raise ValueError(
-                f"baseline CSV row {number} has {len(row)} fields, its header has {len(header)}"
-            )
-        entry = dict(zip(header, row))
-        records.append(
-            SweepRecord(
-                method=entry["method"],
-                k=int(entry["k"]) if entry.get("k") else None,
-                m=int(entry["m"]) if entry.get("m") else None,
-                c=float(entry["c"]) if entry.get("c") else None,
-                avg_width=float(entry["avg_width"]),
-                coverage=float(entry["coverage"]),
-            )
-        )
+        reader = csv.reader(fh)
+        header, col_index = read_csv_header(reader, ("method", "avg_width", "coverage"), "baseline CSV")
+        for number, row in enumerate(reader, start=1):
+            if not any(cell.strip() for cell in row):
+                continue
+            if len(row) < len(header):
+                raise ValueError(f"baseline CSV row {number} has {len(row)} fields, its header has {len(header)}")
+            cell = {name: row[idx].strip() for name, idx in col_index.items()}
+            k, m, c = (cast(cell[key]) if cell.get(key) else None
+                       for key, cast in (("k", int), ("m", int), ("c", float)))
+            records.append(SweepRecord(cell["method"], k, m, c, float(cell["avg_width"]), float(cell["coverage"])))
     return records

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior on small synthetic inputs."""
 
+import csv
 import gc
 import json
 import math
@@ -279,8 +280,9 @@ class TestExplain:
             "--dump-scores", str(dump),
         ])
         lines = dump.read_text().splitlines()
-        assert lines[0] == "x"
-        assert len(lines) == 31  # header + B successful replicates
+        assert lines[0].startswith("# manifest: ")
+        assert lines[1] == "x"
+        assert len(lines) == 32  # manifest + header + B successful replicates
 
     def test_replicate_scores_ignore_the_blas_thread_setting(self, tmp_path):
         data, schema = tmp_path / "sim.csv", tmp_path / "schema.json"
@@ -327,18 +329,24 @@ class TestExplain:
         # a file left open warns when it is garbage-collected, outside any
         # frame, so the error the warning turns into reaches unraisablehook
         data, schema = write_mixed_inputs(tmp_path)
+        baseline = tmp_path / "baseline.csv"
+        baseline.write_text("method,avg_width,coverage\nbayes,0.4,0.7\n")
+        common = ["--data", data, "--schema", schema, "--k", "1", "--m", "45",
+                  "--B", "20", "--out", str(tmp_path / "out")]
         unclosed = []
         monkeypatch.setattr(sys, "unraisablehook", lambda u: unclosed.append(u.exc_value))
         with warnings.catch_warnings():
             warnings.simplefilter("error", ResourceWarning)
             for argv in (
-                ["explain", "--query", "0", "--dump-scores", str(tmp_path / "d.csv")],
-                ["summarize", "--queries", data, "--threads", "1"],
+                ["explain", "--query", "0", "--dump-scores", str(tmp_path / "d.csv"), *common],
+                ["summarize", "--queries", data, "--threads", "1", *common],
+                ["simulate", "--n", "50", "--seed", "1", "--data-out", str(tmp_path / "sim.csv"),
+                 "--schema-out", str(tmp_path / "sim.json")],
+                ["sweep", "--k-list", "1", "--m-list", "24", "--c-list", "0.7", "--n", "300",
+                 "--p", "1", "--B", "16", "--merge", str(baseline),
+                 "--sweep-out", str(tmp_path / "s.csv"), "--frontier-out", str(tmp_path / "f.csv")],
             ):
-                code = main(argv + [
-                    "--data", data, "--schema", schema, "--k", "1", "--m", "45",
-                    "--B", "20", "--out", str(tmp_path / "out"),
-                ])
+                code = main(argv)
                 gc.collect()
                 assert code == EXIT_OK
         assert unclosed == []
@@ -396,6 +404,17 @@ class TestExplain:
         assert code == EXIT_ERROR
         err = json.loads(capsys.readouterr().err)
         assert "error" in err and err["error"]["type"]
+
+    def test_output_column_naming_a_feature_is_a_json_error(self, tmp_path, capsys):
+        data, schema = write_mixed_inputs(tmp_path)
+        code = main([
+            "explain", "--data", data, "--schema", schema, "--query", "0",
+            "--k", "1", "--m", "45", "--B", "20", "--output-column", "x2",
+        ])
+        assert code == EXIT_ERROR
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "DataError"
+        assert "'x2'" in err["message"]
 
 
 class TestSummarize:
@@ -502,6 +521,62 @@ class TestSummarize:
             ])
             payloads.append(out.read_bytes())
         assert payloads[0] == payloads[1]
+
+    def test_feature_names_that_need_quoting(self, tmp_path):
+        names = ["income, usd", 'say "hi"']
+        x = np.random.default_rng(5).uniform(-2, 2, (90, 2))
+        data, queries = tmp_path / "quoted.csv", tmp_path / "queries.csv"
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh).writerows([[*names, "f"], *([a, b, 1 + 2 * a - b] for a, b in x.tolist())])
+        with open(queries, "w", newline="") as fh:
+            csv.writer(fh).writerows([names, [0.1, 0.2], [-0.3, 0.4]])
+        schema = tmp_path / "quoted_schema.json"
+        schema.write_text(json.dumps({"features": [{"name": n, "kind": "continuous"} for n in names]}))
+        out = tmp_path / "summary.csv"
+        code = main([
+            "summarize", "--data", str(data), "--schema", str(schema), "--queries", str(queries),
+            "--k", "1", "--m", "45", "--B", "20", "--threads", "1", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        with open(out, newline="") as fh:
+            rows = [row for row in csv.reader(fh) if not row[0].startswith("#")]
+        assert [len(row) for row in rows] == [6, 6, 6]
+        assert [row[0] for row in rows[1:]] == names
+
+
+@pytest.fixture(scope="module")
+def csv_outputs(tmp_path_factory):
+    """The directory holding every CSV the command line writes, one small run of each subcommand."""
+    tmp = tmp_path_factory.mktemp("outputs")
+    data, schema = write_mixed_inputs(tmp)
+    baseline = tmp / "baseline.csv"
+    baseline.write_text("method,avg_width,coverage\nbayes,0.4,0.7\n")
+    common = ["--data", data, "--schema", schema, "--k", "1", "--m", "45", "--B", "20"]
+    for argv in (
+        ["simulate", "--n", "50", "--seed", "1", "--data-out", str(tmp / "simulate.csv"),
+         "--schema-out", str(tmp / "simulate.json")],
+        ["summarize", *common, "--queries", data, "--threads", "1", "--out", str(tmp / "summary.csv")],
+        ["sweep", "--k-list", "1", "--m-list", "24", "--c-list", "0.7", "--n", "300", "--p", "1",
+         "--B", "16", "--merge", str(baseline),
+         "--sweep-out", str(tmp / "sweep.csv"), "--frontier-out", str(tmp / "frontier.csv")],
+        ["explain", *common, "--query", "0", "--out", str(tmp / "report.json"),
+         "--dump-scores", str(tmp / "scores.csv")],
+    ):
+        assert main(argv) == EXIT_OK
+    return tmp
+
+
+CSV_OUTPUTS = ("simulate.csv", "summary.csv", "sweep.csv", "frontier.csv", "scores.csv")
+
+
+class TestCsvOutputs:
+    @pytest.mark.parametrize("name", CSV_OUTPUTS)
+    def test_lines_end_in_a_bare_lf(self, csv_outputs, name):
+        assert b"\r" not in (csv_outputs / name).read_bytes()
+
+    @pytest.mark.parametrize("name", CSV_OUTPUTS)
+    def test_starts_with_the_manifest(self, csv_outputs, name):
+        assert (csv_outputs / name).read_bytes().startswith(b"# manifest: ")
 
 
 class TestThreadsFlag:

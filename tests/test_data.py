@@ -187,6 +187,18 @@ class TestLoadDataset:
         ds = load_dataset(b"x1,x2,score\n1,2,9\n", two_feature_schema(), output_column="score")
         assert ds.outputs[0] == 9
 
+    @pytest.mark.parametrize("text, schema, output_column", [
+        (b"x1,x2,f\n1,2,3\n", two_feature_schema(), "x2"),
+        (b"x1,f\n1,2\n", FeatureSchema((FeatureSpec("x1", "continuous"), FeatureSpec("f", "continuous"))), "f"),
+    ], ids=["override", "default"])
+    @pytest.mark.parametrize("source", ["path", "bytes"])
+    def test_output_column_naming_a_feature_is_rejected(self, tmp_path, text, schema, output_column, source):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text)
+        with pytest.raises(DataError, match="output column") as err:
+            load_dataset(path if source == "path" else text, schema, output_column=output_column)
+        assert err.value.column == output_column
+
     def test_comment_lines_before_header_are_skipped(self):
         ds = load_dataset(b"# manifest: {}\nx1,x2,f\n1,2,3\n", two_feature_schema())
         assert ds.n == 1
@@ -476,17 +488,17 @@ class TestInterleavedCodec:
         for i in range(ds.n):
             assert QueryPoint.from_row(ds, i).as_mapping(ds.schema) == ds.row_mapping(i)
 
-    def test_csv_roundtrip_is_exact(self):
+    def test_csv_roundtrip_is_exact(self, tmp_path):
         rng = np.random.default_rng(8)
         n = 25
         ds = QueryDataset(
             interleaved_schema(), rng.normal(size=(n, 2)), rng.integers(0, 3, size=(n, 2)),
             rng.normal(size=n),
         )
-        stream = io.StringIO()
-        write_dataset_csv(ds, stream)
-        assert stream.getvalue().splitlines()[0] == "color,x1,size,x2,f"
-        back = load_dataset(stream.getvalue().encode(), interleaved_schema())
+        path = tmp_path / "data.csv"
+        write_dataset_csv(ds, path)
+        assert path.read_text().splitlines()[0] == "color,x1,size,x2,f"
+        back = load_dataset(path.read_bytes(), interleaved_schema())
         np.testing.assert_array_equal(back.numeric, ds.numeric)
         np.testing.assert_array_equal(back.codes, ds.codes)
         np.testing.assert_array_equal(back.outputs, ds.outputs)

@@ -250,3 +250,14 @@ class TestSweepCsv:
         assert rec.method == "bayes"
         assert rec.k is None and rec.m is None and rec.c is None
         assert not rec.invalid
+
+    def test_baseline_header_read_with_the_data_csv_rules(self, tmp_path):
+        # a leading comment line, spaced names and cells, a duplicated column and a blank row
+        path = tmp_path / "baseline.csv"
+        path.write_text(
+            "# manifest: {}\n method , avg_width,coverage , k,method\n"
+            " bayes ,0.4, 0.7,2,other\n\nbayes,0.5,0.6, ,other\n"
+        )
+        first, second = read_baseline_csv(str(path))
+        assert (first.method, first.avg_width, first.coverage, first.k) == ("bayes", 0.4, 0.7, 2)
+        assert (second.method, second.k) == ("bayes", None)
