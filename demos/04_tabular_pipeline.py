@@ -21,8 +21,6 @@ import numpy as np
 
 import localexplain as lx
 
-workdir = Path(tempfile.mkdtemp(prefix="localexplain_demo_"))
-
 # --- pretend this came from a trained classifier --------------------------
 # p(approve) rises with income, falls with debt, and shifts with credit
 # history; the tanh saturation keeps it from being exactly polynomial, so
@@ -37,28 +35,30 @@ dz = (debt - debt.mean()) / debt.std()
 logit = 1.6 * np.tanh(0.8 * iz - 1.1 * dz) + 0.9 * (history == "good") - 0.4 * (history == "poor")
 prob = 1.0 / (1.0 + np.exp(-logit))
 
-data_path = workdir / "credit.csv"
-rows = ["income,debt,history,f"]
-rows += [f"{a:.2f},{b:.2f},{h},{p:.6f}" for a, b, h, p in zip(income, debt, history, prob)]
-data_path.write_text("\n".join(rows) + "\n")
+# --- write the predictions and the schema, then load them back ------------
+with tempfile.TemporaryDirectory(prefix="localexplain_demo_") as workdir:
+    data_path = Path(workdir) / "credit.csv"
+    rows = ["income,debt,history,f"]
+    rows += [f"{a:.2f},{b:.2f},{h},{p:.6f}" for a, b, h, p in zip(income, debt, history, prob)]
+    data_path.write_text("\n".join(rows) + "\n")
 
-schema_path = workdir / "credit_schema.json"
-schema_path.write_text(json.dumps({
-    "features": [
-        {"name": "income", "kind": "continuous"},
-        {"name": "debt", "kind": "continuous"},
-        # no baseline declared: the loader defaults it to the modal category
-        {"name": "history", "kind": "categorical", "categories": ["fair", "good", "poor"]},
-    ],
-    "output_kind": "probability",
-}, indent=2))
+    schema_path = Path(workdir) / "credit_schema.json"
+    schema_path.write_text(json.dumps({
+        "features": [
+            {"name": "income", "kind": "continuous"},
+            {"name": "debt", "kind": "continuous"},
+            # no baseline declared: the loader defaults it to the modal category
+            {"name": "history", "kind": "categorical", "categories": ["fair", "good", "poor"]},
+        ],
+        "output_kind": "probability",
+    }, indent=2))
 
-# --- explain one applicant from the files ---------------------------------
-schema = lx.FeatureSchema.from_json(schema_path.read_text())
-dataset = lx.load_dataset(str(data_path), schema)
+    schema = lx.FeatureSchema.from_json(schema_path.read_text())
+    dataset = lx.load_dataset(data_path, schema)
 print(f"loaded {dataset.n} rows; baseline for 'history' resolved to "
       f"{dataset.schema.feature('history').baseline!r}")
 
+# --- explain one applicant from the loaded data ---------------------------
 applicant = lx.QueryPoint.from_mapping(
     dataset.schema, {"income": 38_000.0, "debt": 21_000.0, "history": "poor"}
 )
@@ -82,4 +82,3 @@ print("\nReading: for this applicant the 'poor' credit history moves the "
       "approval probability the most; income and debt nudge it either way "
       "by under a percentage point, and each interval shows how much the "
       "estimate wobbles across sub-neighborhoods of the query data.")
-print(f"\nartifacts written under {workdir}")

@@ -24,7 +24,6 @@ with partial per-instance/parameter-set failures.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -37,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .bootstrap import BootstrapConfig, BootstrapError, bootstrap_from_problem
-from .data import DataError, FeatureSchema, load_dataset, open_output, read_csv_header, write_csv, write_dataset_csv
+from .data import DataError, FeatureSchema, load_dataset, open_output, read_csv_rows, write_csv, write_dataset_csv
 from .explain import ExplainConfig, ExplainError, LocalProblem, build_problem
 from .neighborhood import BalanceError, QueryPoint
 from .polyfit import FitError
@@ -185,7 +184,6 @@ def _report_for_problem(problem: LocalProblem, boot: BootstrapConfig, naive_ci: 
         "rss": fit.rss,
         "failed_replicates": dist.failed_replicates,
         "balance_fallback_used": problem.neighborhood.balance_fallback_used,
-        "replicate_solve": problem.replicate_solve,
         "replicates_solved_by": dist.solved_by,
         "replicate_rank": dist.replicate_rank,
         "row_condition": problem.row_condition,
@@ -235,18 +233,6 @@ def cmd_explain(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_query_rows(path: str, schema: FeatureSchema) -> list[dict[str, str]]:
-    """Query rows as feature name -> stripped cell, with the data CSV's header rules."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        _, col_index = read_csv_header(reader, schema.names, "queries CSV")
-        columns = {name: col_index[name] for name in schema.names}
-        return [
-            {name: row[idx].strip() for name, idx in columns.items() if idx < len(row)}
-            for row in reader if row
-        ]
-
-
 def cmd_summarize(args) -> int:
     if args.threads < 1:
         raise ValueError(f"--threads must be a positive integer, got {args.threads}")
@@ -254,7 +240,9 @@ def cmd_summarize(args) -> int:
     dataset = load_dataset(args.data, schema, output_column=args.output_column)
     deltas = _parse_deltas(args.delta)
     config = _explain_config(args, deltas)
-    rows = _read_query_rows(args.queries, schema)
+    with open(args.queries, "r", encoding="utf-8", newline="") as fh:
+        columns, cells = read_csv_rows(fh, schema.names, "queries CSV")
+        rows = [{name: row[columns[name]] for name in schema.names} for _, row in cells]
     if not rows:
         raise DataError("queries CSV contains no instances")
 

@@ -16,14 +16,13 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-import io
 import json
 import math
 import numbers
 import os
 import sys
 from dataclasses import dataclass, replace
-from typing import IO, Mapping
+from typing import IO, Iterator, Mapping
 
 import numpy as np
 
@@ -80,6 +79,8 @@ class FeatureSpec:
     def __post_init__(self):
         if not (isinstance(self.name, str) and self.name):
             raise DataError(f"feature name must be a nonempty string, got {self.name!r}")
+        if self.name.startswith("#"):
+            raise DataError("a feature name may not begin with '#', as a comment line does", column=self.name)
         for key in ("kind", "baseline"):
             value = getattr(self, key)
             if value is not None and not isinstance(value, str):
@@ -355,38 +356,27 @@ def _resolve_baselines(schema: FeatureSchema, codes: np.ndarray) -> FeatureSchem
 # ---------------------------------------------------------------------------
 
 
-def load_dataset(
-    source: str | os.PathLike | bytes | IO, schema: FeatureSchema, output_column: str = "f"
-) -> QueryDataset:
-    """Parse a UTF-8, comma-delimited CSV with a header row into a dataset.
+def load_dataset(path: str | os.PathLike, schema: FeatureSchema, output_column: str = "f") -> QueryDataset:
+    """Parse the UTF-8, comma-delimited CSV file at ``path``, with a header row, into a dataset.
 
     The header must contain one column per schema feature plus the output
     column (``f`` by default); extra columns are ignored.  This only parses
     cells into numbers and category codes; :class:`QueryDataset` checks the
-    values.  A path (``str`` or ``os.PathLike``) is parsed in C by
-    ``np.loadtxt``; bytes, streams and any file the C parse rejects go
-    through the row parser, whose errors name the offending 1-based data row
-    and column.  An output column that is also a schema feature is an error.
+    values.  The file is parsed in C by ``np.loadtxt``; a file the C parse
+    declines goes through the row parser, whose errors name the offending
+    1-based data row and column.  An output column that is also a schema
+    feature, or that begins with ``#``, is an error.
     """
     if output_column in schema.names:
         raise DataError("the output column is also a schema feature", column=output_column)
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8", newline="") as stream:
-            parsed = _parse_in_c(stream, schema, output_column)
-            if parsed is None:
-                stream.seek(0)
-                parsed = _parse_rows(stream, schema, output_column)
-        return QueryDataset(schema, *parsed)
-    wrapper = None
-    if isinstance(source, bytes):
-        source = io.StringIO(source.decode("utf-8"))
-    elif isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-        source = wrapper = io.TextIOWrapper(source, encoding="utf-8", newline="")
-    try:
-        return QueryDataset(schema, *_parse_rows(source, schema, output_column))
-    finally:
-        if wrapper is not None:
-            wrapper.detach()  # left attached, the wrapper closes the caller's stream when collected
+    if output_column.startswith("#"):
+        raise DataError("the output column may not begin with '#', as a comment line does", column=output_column)
+    with open(path, "r", encoding="utf-8", newline="") as stream:
+        parsed = _parse_in_c(stream, schema, output_column)
+        if parsed is None:
+            stream.seek(0)
+            parsed = _parse_rows(stream, schema, output_column)
+    return QueryDataset(schema, *parsed)
 
 
 def read_csv_header(reader, names, source: str = "CSV") -> tuple[list[str], dict[str, int]]:
@@ -405,6 +395,28 @@ def read_csv_header(reader, names, source: str = "CSV") -> tuple[list[str], dict
         if name not in col_index:
             raise DataError(f"missing column {name!r} in {source} header")
     return header, col_index
+
+
+def read_csv_rows(stream: IO, names, source: str = "CSV") -> tuple[dict[str, int], Iterator[tuple[int, list[str]]]]:
+    """The column index of :func:`read_csv_header` and the data rows after it, by one rule for every input CSV.
+
+    Yields ``(number, cells)`` for each row with a nonblank cell, ``number``
+    its 1-based position after the header (blank rows count) and ``cells``
+    stripped.  A row with fewer cells than the header is a DataError naming it.
+    """
+    reader = csv.reader(stream)
+    header, col_index = read_csv_header(reader, names, source)
+
+    def rows():
+        for number, row in enumerate(reader, start=1):
+            cells = [cell.strip() for cell in row]
+            if not any(cells):
+                continue
+            if len(cells) < len(header):
+                raise DataError("row has fewer cells than the header", row=number)
+            yield number, cells
+
+    return col_index, rows()
 
 
 def _parse_in_c(stream: IO, schema: FeatureSchema, output_column: str):
@@ -444,22 +456,17 @@ def _parse_in_c(stream: IO, schema: FeatureSchema, output_column: str):
 
 def _parse_rows(stream: IO, schema: FeatureSchema, output_column: str):
     """(numeric, codes, outputs) parsed cell by cell; errors name the row and column."""
-    reader = csv.reader(stream)
-    header, col_index = read_csv_header(reader, (*schema.names, output_column))
+    col_index, rows = read_csv_rows(stream, (*schema.names, output_column))
     numeric_specs = schema.numeric_features
     categorical_specs = schema.categorical_features
     cat_lookup = [{label: code for code, label in enumerate(spec.categories)} for spec in categorical_specs]
     numeric_rows: list[list[float]] = []
     code_rows: list[list[int]] = []
     outputs: list[float] = []
-    for row_no, row in enumerate(reader, start=1):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) < len(header):
-            raise DataError("row has fewer cells than the header", row=row_no)
+    for row_no, row in rows:
         num_row = []
         for spec in numeric_specs:
-            cell = row[col_index[spec.name]].strip()
+            cell = row[col_index[spec.name]]
             try:
                 num_row.append(float(cell))
             except ValueError:
@@ -467,11 +474,11 @@ def _parse_rows(stream: IO, schema: FeatureSchema, output_column: str):
                 raise DataError(message, row=row_no, column=spec.name) from None
         code_row = []
         for spec, lookup in zip(categorical_specs, cat_lookup):
-            cell = row[col_index[spec.name]].strip()
+            cell = row[col_index[spec.name]]
             if cell not in lookup:
                 raise DataError(f"unknown category {cell!r}", row=row_no, column=spec.name)
             code_row.append(lookup[cell])
-        cell = row[col_index[output_column]].strip()
+        cell = row[col_index[output_column]]
         try:
             outputs.append(float(cell))
         except ValueError:

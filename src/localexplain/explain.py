@@ -417,19 +417,6 @@ class LocalProblem:
         """Numerical rank of the nonzero weighted rows, at ``np.linalg.matrix_rank``'s tolerance."""
         return _numerical_rank(self._row_svd[0], self.nonzero_rows.size, self.live_columns.size)
 
-    @property
-    def replicate_solve(self) -> str:
-        """The factorization route open to this problem's replicates, or ``"gelsy"``.
-
-        ``"downdate"`` when the nonzero weighted rows are no more than the
-        live terms, ``"deletion"`` when they outnumber them, either only when
-        the factors of :attr:`_row_svd` exist.  Which replicates take it is
-        in the route codes :meth:`solve_rows` returns.
-        """
-        if self._row_svd[1] is None:
-            return ROUTES[GELSY]
-        return ROUTES[DOWNDATE if self.nonzero_rows.size <= self.live_columns.size else DELETION]
-
     def solve_rows(self, row_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Minimum-norm LS coefficients on row subsets of the neighborhood.
 

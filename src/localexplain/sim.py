@@ -17,14 +17,13 @@ Pareto frontiers are extracted.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .bootstrap import BootstrapConfig, BootstrapError, bootstrap_from_problem
-from .data import DataError, FeatureSchema, FeatureSpec, QueryDataset, read_csv_header, write_csv
+from .data import DataError, FeatureSchema, FeatureSpec, QueryDataset, read_csv_rows, write_csv
 from .explain import GRADIENT, ExplainConfig, ExplainError, build_problem
 from .neighborhood import BalanceError, QueryPoint
 from .polyfit import FitError
@@ -296,20 +295,14 @@ def write_sweep_csv(records: Iterable[SweepRecord], path: str, header_comment: s
 def read_baseline_csv(path: str) -> list[SweepRecord]:
     """Externally produced (method, avg_width, coverage) rows for overlay plots.
 
-    Read with the data CSV's rules (``read_csv_header``, stripped cells, blank
-    rows skipped); optional ``k``, ``m`` and ``c`` columns fill in the
-    parameter set, and a row shorter than the header is an error.
+    Read by ``read_csv_rows``, as every input table is; optional ``k``, ``m``
+    and ``c`` columns fill in the parameter set.
     """
     records = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header, col_index = read_csv_header(reader, ("method", "avg_width", "coverage"), "baseline CSV")
-        for number, row in enumerate(reader, start=1):
-            if not any(cell.strip() for cell in row):
-                continue
-            if len(row) < len(header):
-                raise ValueError(f"baseline CSV row {number} has {len(row)} fields, its header has {len(header)}")
-            cell = {name: row[idx].strip() for name, idx in col_index.items()}
+        columns, rows = read_csv_rows(fh, ("method", "avg_width", "coverage"), "baseline CSV")
+        for _, row in rows:
+            cell = {name: row[idx] for name, idx in columns.items()}
             k, m, c = (cast(cell[key]) if cell.get(key) else None
                        for key, cast in (("k", int), ("m", int), ("c", float)))
             records.append(SweepRecord(cell["method"], k, m, c, float(cell["avg_width"]), float(cell["coverage"])))

@@ -138,10 +138,10 @@ class TestExplain:
         assert meta["diagnostics"]["live_terms"] == meta["diagnostics"]["q"] == 5
         # 44 nonzero weighted rows against 5 live terms: row deletion, for
         # the subsets that drop fewer rows than there are live terms
-        assert meta["diagnostics"]["replicate_solve"] == "deletion"
         solved_by = meta["diagnostics"]["replicates_solved_by"]
         assert list(solved_by) == ["downdate", "deletion", "gelsy"]
         assert sum(solved_by.values()) == 60 and solved_by["downdate"] == 0
+        assert solved_by["deletion"] > 0
         assert 1.0 <= meta["diagnostics"]["row_condition"] < math.inf
         assert meta["diagnostics"]["row_rank"] == 5
         assert meta["diagnostics"]["replicate_rank"] == {"min": 5, "median": 5.0, "max": 5}
@@ -155,7 +155,6 @@ class TestExplain:
             ])
         assert code == EXIT_OK
         diagnostics = json.loads(out.read_text())["metadata"]["diagnostics"]
-        assert diagnostics["replicate_solve"] == "downdate"
         assert diagnostics["replicates_solved_by"] == {"downdate": 60, "deletion": 0, "gelsy": 0}
         assert 1.0 <= diagnostics["row_condition"] <= 1e8
         assert diagnostics["row_rank"] == 11
@@ -489,12 +488,13 @@ class TestSummarize:
         assert entry["low_success"] == "1"  # 1 of 2 < 80%
 
     def test_queries_csv_read_with_the_data_csv_rules(self, tmp_path):
-        # spaced header names and cells, a leading comment line and a blank row
+        # spaced header names and cells, a leading comment line, a blank row
+        # and a row of blank cells
         data, schema = write_mixed_inputs(tmp_path)
         plain = tmp_path / "plain.csv"
         plain.write_text("x1,x2,color\n0.1,0.9,g\n-0.4,-1.0,r\n")
         spaced = tmp_path / "spaced.csv"
-        spaced.write_text("# manifest\nx1, x2 , color\n 0.1 , 0.9, g\n\n-0.4 ,-1.0 , r \n")
+        spaced.write_text("# manifest\nx1, x2 , color\n 0.1 , 0.9, g\n\n , , \n-0.4 ,-1.0 , r \n")
         summaries = []
         for queries in (plain, spaced):
             out = tmp_path / f"summary_{queries.name}"
@@ -506,6 +506,20 @@ class TestSummarize:
             summaries.append([ln for ln in out.read_text().splitlines() if not ln.startswith("#")])
         assert summaries[0] == summaries[1]
         assert summaries[0][1].endswith(",2,0,0")  # both instances explained
+
+    def test_short_query_row_is_a_json_error(self, tmp_path, capsys):
+        data, schema = write_mixed_inputs(tmp_path)
+        queries = tmp_path / "queries.csv"
+        queries.write_text("x1,x2,color\n0.1,0.9,g\n\n-0.4,-1.0\n")
+        out = tmp_path / "summary.csv"
+        code = main([
+            "summarize", "--data", data, "--schema", schema, "--queries", str(queries),
+            "--k", "1", "--m", "60", "--B", "20", "--threads", "1", "--out", str(out),
+        ])
+        assert code == EXIT_ERROR
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "DataError", "message": "row has fewer cells than the header (row 3)"}
+        assert not out.exists()
 
     def test_threads_do_not_change_output(self, tmp_path):
         data, schema = write_mixed_inputs(tmp_path)
@@ -655,7 +669,7 @@ class TestSweepCommand:
         ])
         assert code == EXIT_ERROR
         err = json.loads(capsys.readouterr().err)["error"]
-        assert err["type"] == "ValueError"
+        assert err["type"] == "DataError"
         assert "row 2" in err["message"]
         assert not sweep_out.exists()
 

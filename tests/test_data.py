@@ -1,6 +1,5 @@
 """Ingestion, schema validation, and preprocessing transforms."""
 
-import gc
 import io
 import json
 import math
@@ -18,6 +17,7 @@ from localexplain.data import (
     QueryDataset,
     from_log_odds,
     load_dataset,
+    read_csv_rows,
     standardize,
     to_log_odds,
     write_dataset_csv,
@@ -48,7 +48,14 @@ def interleaved_schema(output_kind="raw"):
     )
 
 
-INTERLEAVED_CSV = b"color,x1,size,x2,f\nc,1.5,s,-0.25,0.5\na,-2.0,l,3.0,0.25\nb,0.1,m,7.5,1.0\n"
+INTERLEAVED_CSV = "color,x1,size,x2,f\nc,1.5,s,-0.25,0.5\na,-2.0,l,3.0,0.25\nb,0.1,m,7.5,1.0\n"
+
+
+def load_text(tmp_path, text, schema, **kwargs):
+    """``load_dataset`` of ``text`` written to a file: the C parse, and the row parser where it declines."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return load_dataset(path, schema, **kwargs)
 
 
 def mixed_schema():
@@ -133,94 +140,95 @@ class TestSchemaValidation:
 
 
 class TestLoadDataset:
-    def test_three_row_csv(self):
+    def test_three_row_csv(self, tmp_path):
         csv_text = "x1,x2,f\n1,2,0.5\n3,4,1.5\n5,6,2.5\n"
-        ds = load_dataset(csv_text.encode(), two_feature_schema())
+        ds = load_text(tmp_path, csv_text, two_feature_schema())
         assert ds.n == 3
         np.testing.assert_allclose(ds.numeric, [[1, 2], [3, 4], [5, 6]])
         np.testing.assert_allclose(ds.outputs, [0.5, 1.5, 2.5])
 
-    def test_unknown_category_names_row_and_column(self):
+    def test_unknown_category_names_row_and_column(self, tmp_path):
         csv_text = "x1,x2,color,f\n1,2,a,0\n3,4,blue,1\n"
         with pytest.raises(DataError) as err:
-            load_dataset(csv_text.encode(), mixed_schema())
+            load_text(tmp_path, csv_text, mixed_schema())
         assert err.value.row == 2
         assert err.value.column == "color"
         assert "blue" in str(err.value)
 
-    def test_probability_outputs_accepted(self):
+    def test_probability_outputs_accepted(self, tmp_path):
         csv_text = "x1,x2,f\n1,2,0.2\n3,4,0.7\n"
-        ds = load_dataset(csv_text.encode(), two_feature_schema("probability"))
+        ds = load_text(tmp_path, csv_text, two_feature_schema("probability"))
         np.testing.assert_allclose(ds.outputs, [0.2, 0.7])
 
-    def test_probability_out_of_range_rejected(self):
+    def test_probability_out_of_range_rejected(self, tmp_path):
         csv_text = "x1,x2,f\n1,2,0.2\n3,4,1.7\n"
         with pytest.raises(DataError) as err:
-            load_dataset(csv_text.encode(), two_feature_schema("probability"))
+            load_text(tmp_path, csv_text, two_feature_schema("probability"))
         assert err.value.row == 2
         assert "1.7" in str(err.value)
 
-    def test_non_finite_cell_rejected_with_row_and_column(self):
+    def test_non_finite_cell_rejected_with_row_and_column(self, tmp_path):
         with pytest.raises(DataError) as err:
-            load_dataset(b"x1,x2,f\n1,2,0\n3,nan,1\n", two_feature_schema())
+            load_text(tmp_path, "x1,x2,f\n1,2,0\n3,nan,1\n", two_feature_schema())
         assert (err.value.row, err.value.column) == (2, "x2")
 
-    def test_missing_column(self):
+    def test_missing_column(self, tmp_path):
         with pytest.raises(DataError, match="x2"):
-            load_dataset(b"x1,f\n1,0\n", two_feature_schema())
+            load_text(tmp_path, "x1,f\n1,0\n", two_feature_schema())
 
-    def test_missing_output_column(self):
+    def test_missing_output_column(self, tmp_path):
         with pytest.raises(DataError, match="'f'"):
-            load_dataset(b"x1,x2\n1,2\n", two_feature_schema())
+            load_text(tmp_path, "x1,x2\n1,2\n", two_feature_schema())
 
-    def test_non_numeric_continuous_value(self):
+    def test_non_numeric_continuous_value(self, tmp_path):
         with pytest.raises(DataError) as err:
-            load_dataset(b"x1,x2,f\n1,2,0\nbad,4,1\n", two_feature_schema())
+            load_text(tmp_path, "x1,x2,f\n1,2,0\nbad,4,1\n", two_feature_schema())
         assert err.value.row == 2
         assert err.value.column == "x1"
 
-    def test_empty_dataset(self):
+    def test_empty_dataset(self, tmp_path):
         with pytest.raises(DataError):
-            load_dataset(b"x1,x2,f\n", two_feature_schema())
+            load_text(tmp_path, "x1,x2,f\n", two_feature_schema())
 
-    def test_output_column_override(self):
-        ds = load_dataset(b"x1,x2,score\n1,2,9\n", two_feature_schema(), output_column="score")
+    def test_output_column_override(self, tmp_path):
+        ds = load_text(tmp_path, "x1,x2,score\n1,2,9\n", two_feature_schema(), output_column="score")
         assert ds.outputs[0] == 9
 
     @pytest.mark.parametrize("text, schema, output_column", [
-        (b"x1,x2,f\n1,2,3\n", two_feature_schema(), "x2"),
-        (b"x1,f\n1,2\n", FeatureSchema((FeatureSpec("x1", "continuous"), FeatureSpec("f", "continuous"))), "f"),
+        ("x1,x2,f\n1,2,3\n", two_feature_schema(), "x2"),
+        ("x1,f\n1,2\n", FeatureSchema((FeatureSpec("x1", "continuous"), FeatureSpec("f", "continuous"))), "f"),
     ], ids=["override", "default"])
-    @pytest.mark.parametrize("source", ["path", "bytes"])
+    @pytest.mark.parametrize("source", ["path", "pathlike"])
     def test_output_column_naming_a_feature_is_rejected(self, tmp_path, text, schema, output_column, source):
         path = tmp_path / "data.csv"
-        path.write_bytes(text)
+        path.write_text(text)
         with pytest.raises(DataError, match="output column") as err:
-            load_dataset(path if source == "path" else text, schema, output_column=output_column)
+            load_dataset(str(path) if source == "path" else path, schema, output_column=output_column)
         assert err.value.column == output_column
 
-    def test_comment_lines_before_header_are_skipped(self):
-        ds = load_dataset(b"# manifest: {}\nx1,x2,f\n1,2,3\n", two_feature_schema())
+    def test_comment_lines_before_header_are_skipped(self, tmp_path):
+        ds = load_text(tmp_path, "# manifest: {}\nx1,x2,f\n1,2,3\n", two_feature_schema())
         assert ds.n == 1
 
-    def test_missing_baseline_defaults_to_most_frequent(self):
+    def test_missing_baseline_defaults_to_most_frequent(self, tmp_path):
         schema = FeatureSchema(
             (FeatureSpec("c", "categorical", categories=("a", "b")),)
         )
-        ds = load_dataset(b"c,f\na,0\nb,1\nb,2\n", schema)
+        ds = load_text(tmp_path, "c,f\na,0\nb,1\nb,2\n", schema)
         assert ds.schema.feature("c").baseline == "b"
 
-    @pytest.mark.parametrize("text", [b"x1,x2,f\n1,2,3\n", b"x1,x2,f\n1,bad,3\n"])
-    def test_binary_stream_stays_open(self, text):
-        stream = io.BytesIO(text)
-        try:
-            load_dataset(stream, two_feature_schema())
-        except DataError:
-            assert b"bad" in text
-        gc.collect()
-        assert not stream.closed
-        stream.seek(0)
-        assert stream.read() == text
+    def test_names_beginning_with_a_hash_are_rejected(self, tmp_path):
+        # such a name as the header's first cell would read back as a comment line
+        path = tmp_path / "data.csv"
+        path.write_text("#id,x,f\n1,2,0.5\n")
+        features = [{"name": "#id", "kind": "continuous"}, {"name": "x", "kind": "ordinal"}]
+        with pytest.raises(DataError, match="'#'") as err:
+            load_dataset(path, FeatureSchema.from_json(json.dumps({"features": features})))
+        assert err.value.column == "#id"
+        path.write_text("#f,x\n0.5,2\n")
+        with pytest.raises(DataError, match="'#'") as err:
+            load_dataset(path, FeatureSchema((FeatureSpec("x", "ordinal"),)), output_column="#f")
+        assert err.value.column == "#f"
 
 
 def parity_schema():
@@ -272,14 +280,20 @@ def row_parser_calls(monkeypatch):
     return calls
 
 
-def load_path_and_bytes(tmp_path, text, schema):
-    """``load_dataset`` of a file path (C parse) and of the same bytes (row parser)."""
+def row_parser_dataset(path, schema):
+    """The dataset the row parser alone reads from the file at ``path``: the C parse's oracle."""
+    with open(path, encoding="utf-8", newline="") as stream:
+        return QueryDataset(schema, *data._parse_rows(stream, schema, "f"))
+
+
+def load_and_parse_rows(tmp_path, text, schema):
+    """``load_dataset`` of ``text`` written to a file, and the row parser's dataset of that file."""
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode("utf-8"))
     results = []
-    for source in (str(path), text.encode("utf-8")):
+    for load in (load_dataset, row_parser_dataset):
         try:
-            results.append(load_dataset(source, schema))
+            results.append(load(path, schema))
         except DataError as exc:
             results.append(exc)
     return results
@@ -289,15 +303,15 @@ class TestCParseParity:
     @pytest.mark.parametrize("case", sorted(PARITY_CASES))
     def test_path_matches_row_parser(self, tmp_path, row_parser_calls, case):
         text, c_only = PARITY_CASES[case]
-        from_path, from_bytes = load_path_and_bytes(tmp_path, text, parity_schema())
-        # the bytes load always runs the row parser; the path load only when the C parse fails
+        loaded, oracle = load_and_parse_rows(tmp_path, text, parity_schema())
+        # the oracle always runs the row parser; the load only when the C parse declines
         assert len(row_parser_calls) == (1 if c_only else 2)
         for name in ("numeric", "codes", "outputs"):
-            a, b = getattr(from_path, name), getattr(from_bytes, name)
+            a, b = getattr(loaded, name), getattr(oracle, name)
             assert a.dtype == b.dtype and a.flags.c_contiguous
             np.testing.assert_array_equal(a, b)
-        assert from_path.schema == from_bytes.schema
-        assert from_path.n >= 2
+        assert loaded.schema == oracle.schema
+        assert loaded.n >= 2
 
     @pytest.mark.parametrize("text, message, row, column", [
         # the short row holds every used column; only the ignored last one is missing
@@ -311,8 +325,7 @@ class TestCParseParity:
          2, "f"),
     ], ids=["short_row", "non_numeric", "unknown_label", "empty_output"])
     def test_errors_name_row_and_column(self, tmp_path, text, message, row, column):
-        from_path, from_bytes = load_path_and_bytes(tmp_path, text, parity_schema())
-        for err in (from_path, from_bytes):
+        for err in load_and_parse_rows(tmp_path, text, parity_schema()):
             assert isinstance(err, DataError)
             assert (str(err), err.row, err.column) == (message, row, column)
 
@@ -333,39 +346,57 @@ class TestCParseParity:
                 load_dataset(str(path), parity_schema())
 
 
+class TestReadCsvRows:
+    """The one row reader of the data, queries and baseline CSVs."""
+
+    def test_numbered_stripped_rows_without_blank_ones(self):
+        stream = io.StringIO("# manifest\n a , b ,c\n 1 ,2,3\n\n , ,\t\n4, x ,6,extra\n")
+        columns, rows = read_csv_rows(stream, ("a", "b"))
+        assert columns == {"a": 0, "b": 1, "c": 2}
+        # blank and whitespace-only rows are skipped but keep their numbers
+        assert list(rows) == [(1, ["1", "2", "3"]), (4, ["4", "x", "6", "extra"])]
+
+    def test_short_row_is_a_data_error_naming_it(self):
+        _, rows = read_csv_rows(io.StringIO("a,b,c\n1,2,3\n\n4,5\n"), ("a",))
+        assert next(rows) == (1, ["1", "2", "3"])
+        with pytest.raises(DataError, match=r"^row has fewer cells than the header \(row 3\)$") as err:
+            next(rows)
+        assert (err.value.row, err.value.column) == (3, None)
+
+
 class TestStandardize:
-    def test_one_two_three(self):
+    def test_one_two_three(self, tmp_path):
         # sample (n-1) convention: mean 2, stddev sqrt((1+0+1)/2) = 1
-        ds = load_dataset(b"x1,x2,f\n1,0,0\n2,0,0\n3,0,0\n", two_feature_schema())
+        ds = load_text(tmp_path, "x1,x2,f\n1,0,0\n2,0,0\n3,0,0\n", two_feature_schema())
         out, stats = standardize(ds)
         np.testing.assert_allclose(out.numeric[:, 0], [-1.0, 0.0, 1.0], atol=1e-12)
         assert stats.mean("x1") == pytest.approx(2.0)
         assert stats.stddev("x1") == pytest.approx(1.0)
 
-    def test_constant_column_guard(self):
-        ds = load_dataset(b"x1,x2,f\n5,0,0\n5,1,0\n5,2,0\n", two_feature_schema())
+    def test_constant_column_guard(self, tmp_path):
+        ds = load_text(tmp_path, "x1,x2,f\n5,0,0\n5,1,0\n5,2,0\n", two_feature_schema())
         out, stats = standardize(ds)
         np.testing.assert_allclose(out.numeric[:, 0], [0.0, 0.0, 0.0])
         assert stats.stddev("x1") == 1.0
 
-    def test_categorical_untouched(self):
-        ds = load_dataset(b"x1,x2,color,f\n1,2,b,0\n3,4,c,1\n", mixed_schema())
+    def test_categorical_untouched(self, tmp_path):
+        ds = load_text(tmp_path, "x1,x2,color,f\n1,2,b,0\n3,4,c,1\n", mixed_schema())
         out, _ = standardize(ds)
         np.testing.assert_array_equal(out.codes, ds.codes)
 
-    def test_idempotent(self):
+    def test_idempotent(self, tmp_path):
         rng = np.random.default_rng(3)
         csv_text = "x1,x2,f\n" + "\n".join(
             f"{rng.normal()},{rng.normal()},{rng.normal()}" for _ in range(20)
         )
-        ds = load_dataset(csv_text.encode(), two_feature_schema())
+        ds = load_text(tmp_path, csv_text, two_feature_schema())
         once, _ = standardize(ds)
         twice, _ = standardize(once)
         np.testing.assert_allclose(twice.numeric, once.numeric, atol=1e-12)
 
-    def test_pipeline_preserves_rows_and_outputs(self):
+    def test_pipeline_preserves_rows_and_outputs(self, tmp_path):
         csv_text = "x1,x2,color,f\n1,2,a,0.1\n3,4,b,0.9\n5,6,c,0.4\n"
-        ds = load_dataset(csv_text.encode(), mixed_schema())
+        ds = load_text(tmp_path, csv_text, mixed_schema())
         std, _ = standardize(ds)
         table = OneHotLayout(std.schema).encode(std.numeric, std.codes)
         assert table.shape[0] == ds.n
@@ -386,9 +417,9 @@ class TestOneHot:
     def test_width_two_continuous_plus_three_categories(self):
         assert OneHotLayout(mixed_schema()).width == 4
 
-    def test_at_most_one_indicator_per_block(self):
-        ds = load_dataset(
-            b"x1,x2,color,f\n1,2,a,0\n3,4,b,0\n5,6,c,0\n", mixed_schema()
+    def test_at_most_one_indicator_per_block(self, tmp_path):
+        ds = load_text(
+            tmp_path, "x1,x2,color,f\n1,2,a,0\n3,4,b,0\n5,6,c,0\n", mixed_schema()
         )
         table = OneHotLayout(ds.schema).encode(ds.numeric, ds.codes)
         block = table[:, 2:]
@@ -464,8 +495,8 @@ class TestQueryDataset:
             QueryDataset(interleaved_schema("probability"), numeric, codes, outputs)
         assert (err.value.row, err.value.column) == (3, None)
 
-    def test_row_mapping_roundtrip(self):
-        ds = load_dataset(b"x1,x2,color,f\n1.5,2,c,0\n", mixed_schema())
+    def test_row_mapping_roundtrip(self, tmp_path):
+        ds = load_text(tmp_path, "x1,x2,color,f\n1.5,2,c,0\n", mixed_schema())
         assert ds.row_mapping(0) == {"x1": 1.5, "x2": 2.0, "color": "c"}
 
 
@@ -482,8 +513,8 @@ class TestInterleavedCodec:
         assert mapping == values
         assert list(mapping) == list(schema.names)
 
-    def test_from_row_matches_row_mapping(self):
-        ds = load_dataset(INTERLEAVED_CSV, interleaved_schema())
+    def test_from_row_matches_row_mapping(self, tmp_path):
+        ds = load_text(tmp_path, INTERLEAVED_CSV, interleaved_schema())
         assert ds.row_mapping(1) == {"color": "a", "x1": -2.0, "size": "l", "x2": 3.0}
         for i in range(ds.n):
             assert QueryPoint.from_row(ds, i).as_mapping(ds.schema) == ds.row_mapping(i)
@@ -498,13 +529,13 @@ class TestInterleavedCodec:
         path = tmp_path / "data.csv"
         write_dataset_csv(ds, path)
         assert path.read_text().splitlines()[0] == "color,x1,size,x2,f"
-        back = load_dataset(path.read_bytes(), interleaved_schema())
+        back = load_dataset(path, interleaved_schema())
         np.testing.assert_array_equal(back.numeric, ds.numeric)
         np.testing.assert_array_equal(back.codes, ds.codes)
         np.testing.assert_array_equal(back.outputs, ds.outputs)
 
-    def test_one_hot_indicators_at_their_named_columns(self):
-        ds = load_dataset(INTERLEAVED_CSV, interleaved_schema())
+    def test_one_hot_indicators_at_their_named_columns(self, tmp_path):
+        ds = load_text(tmp_path, INTERLEAVED_CSV, interleaved_schema())
         layout = OneHotLayout(ds.schema)
         assert layout.column_names == ("color=b", "color=c", "x1", "size=s", "size=l", "x2")
         table = layout.encode(ds.numeric, ds.codes)
@@ -517,7 +548,7 @@ class TestInterleavedCodec:
             np.testing.assert_array_equal(table[i], expected)
 
     @pytest.mark.parametrize("i", [-1, 3])
-    def test_from_row_out_of_range(self, i):
-        ds = load_dataset(INTERLEAVED_CSV, interleaved_schema())
+    def test_from_row_out_of_range(self, i, tmp_path):
+        ds = load_text(tmp_path, INTERLEAVED_CSV, interleaved_schema())
         with pytest.raises(DataError, match="out of range"):
             QueryPoint.from_row(ds, i)

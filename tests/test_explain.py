@@ -15,6 +15,7 @@ from localexplain.explain import (
     DELETION,
     DOWNDATE,
     GELSY,
+    ROUTES,
     ExplainConfig,
     ExplainError,
     _positive_definite,
@@ -28,6 +29,11 @@ Z_95 = 1.959963985
 
 def point_scores(dataset, query, config):
     return build_problem(dataset, query, config).point_scores()
+
+
+def point_route(problem) -> str:
+    """How ``solve_rows`` solved the point fit, the subset that drops no row."""
+    return ROUTES[problem.solve_rows(np.arange(problem.m)[None, :])[2][0]]
 
 
 def continuous_schema(d):
@@ -553,7 +559,7 @@ class TestPointFit:
             problem = build_problem(ds, QueryPoint.from_row(ds, row), ExplainConfig(
                 degree=k, m=m, kind="gradient",
             ))
-        assert problem.replicate_solve == solve
+        assert point_route(problem) == solve
         fit = problem.point_fit
         ref_coefficients, ref_rank = lstsq_min_norm(problem.Xw, problem.yw)
         assert fit.effective_rank == ref_rank
@@ -610,7 +616,7 @@ class TestReplicateSolve:
         # downdate leaves some replicates to gelsy
         underdetermined = problem.nonzero_rows.size <= problem.live_columns.size
         route = "downdate" if underdetermined else "deletion"
-        assert problem.replicate_solve == route
+        assert point_route(problem) == route
         index = replicate_indices(row, B, problem.m, int(np.floor(c * problem.m)))
         coefficients, ranks, routes = problem.solve_rows(index)
         ref_coefficients, ref_ranks = self.full_basis_loop(problem, index)
@@ -683,7 +689,6 @@ class TestReplicateSolve:
         n_rows, live = problem.nonzero_rows.size, problem.live_columns
         assert n_rows <= live.size and n_rows - problem.row_rank == relations
         assert problem.row_condition > 1e8
-        assert problem.replicate_solve == "downdate"
         index = replicate_indices(row, 500, problem.m, int(np.floor(c * problem.m)))
         coefficients, ranks, routes = problem.solve_rows(index)
         assert set(routes.tolist()) <= {DOWNDATE, GELSY}
@@ -730,7 +735,6 @@ class TestReplicateSolve:
         n_rows, live = problem.nonzero_rows.size, problem.live_columns
         assert problem.row_rank == n_rows <= live.size
         assert 1e8 < problem.row_condition <= 1e10
-        assert problem.replicate_solve == "downdate"
         index = replicate_indices(row, 200, problem.m, int(np.floor(0.9 * problem.m)))
         coefficients, ranks, routes = problem.solve_rows(index)
         assert (routes == DOWNDATE).all()
@@ -854,10 +858,9 @@ class TestReplicateDowndateGate:
         problem = self.paper_problem(three_copies_dataset(), 1)
         assert {2000, 2001, 2002} <= set(problem.neighborhood.member_indices.tolist())
         assert problem.row_condition > 1e8
-        assert problem.replicate_solve == "downdate"
         index = replicate_indices(1, 100, problem.m, int(np.floor(0.9 * problem.m)))
         coefficients, ranks, routes = problem.solve_rows(index)
-        assert set(routes.tolist()) <= {DOWNDATE, GELSY}
+        assert set(routes.tolist()) <= {DOWNDATE, GELSY} and (routes == DOWNDATE).any()
         ref_coefficients, ref_ranks = self.live_column_loop(problem, index)
         gelsy = routes == GELSY
         assert coefficients[gelsy].tobytes() == ref_coefficients[gelsy].tobytes()
@@ -873,7 +876,7 @@ class TestReplicateDowndateGate:
         assert 2000 in problem.neighborhood.member_indices
         assert problem.row_rank == problem.nonzero_rows.size <= problem.live_columns.size
         assert 1e10 < problem.row_condition < 1.1e10
-        assert problem.replicate_solve == "gelsy"
+        assert point_route(problem) == "gelsy"
         self.assert_gelsy_loop(problem, 1)
 
     def test_more_rows_than_live_terms_take_the_gelsy_loop(self):
@@ -884,7 +887,7 @@ class TestReplicateDowndateGate:
         self.assert_gelsy_loop(problem, 1, c=0.3)
         assert "_row_svd" not in vars(problem)  # the replicates took no SVD
         assert 1.0 <= problem.row_condition < math.inf
-        assert problem.replicate_solve == "deletion"  # open to subsets that keep more rows
+        assert point_route(problem) == "deletion"  # the point fit keeps every row
 
     def test_a_batch_straddling_as_many_dropped_rows_as_live_terms_takes_both_forms(self):
         # k=1, m=64, c=0.9: a subset drops 6 or 7 nonzero rows against p=7, so
@@ -911,13 +914,12 @@ class TestReplicateDowndateGate:
         problem = build_problem(ds, QueryPoint.from_row(ds, 0), ExplainConfig(degree=1, m=80))
         assert problem.nonzero_rows.size > problem.live_columns.size
         assert problem.row_condition > 1e8
-        assert problem.replicate_solve == "gelsy"
+        assert point_route(problem) == "gelsy"
         self.assert_gelsy_loop(problem, 2)
 
     def assert_a_subset_that_loses_a_level_takes_gelsy(self, c):
         """Deletion's gate rejects a subset that drops every row of one category; returns its drop count, m' and p."""
         problem = self.paper_problem(sim.generate_dataset(2000, 0), 1, degree=2, m=128)
-        assert problem.replicate_solve == "deletion"
         live, n_live = problem.live_columns, problem.live_columns.size
         nonzero = problem.Xw[:, live] != 0
         # the rarest level's indicator: the live column nonzero on fewest rows
@@ -964,12 +966,12 @@ class TestReplicateDowndateGate:
 
     def test_zero_weight_member_lowers_the_rank_by_one(self):
         problem = self.paper_problem(sim.generate_dataset(2000, 0), 1)
-        assert problem.replicate_solve == "downdate"
         zero_rows = np.flatnonzero(~(problem.Xw != 0).any(axis=1))
         assert zero_rows.size == 1  # the farthest member has weight 0
         m_prime = int(np.floor(0.9 * problem.m))
         index = replicate_indices(1, 500, problem.m, m_prime)
-        coefficients, ranks, _ = problem.solve_rows(index)
+        coefficients, ranks, routes = problem.solve_rows(index)
+        assert (routes == DOWNDATE).all()
         holds_zero = (index == zero_rows[0]).any(axis=1)
         assert 0 < holds_zero.sum() < index.shape[0]
         assert (ranks == np.where(holds_zero, m_prime - 1, m_prime)).all()
@@ -983,10 +985,10 @@ class TestReplicateDowndateGate:
 
     def test_subsets_keeping_every_nonzero_row_or_none(self):
         problem = self.paper_problem(sim.generate_dataset(2000, 0), 1)
-        assert problem.replicate_solve == "downdate"
         zero_row = np.flatnonzero(~(problem.Xw != 0).any(axis=1))[0]
         every_other = np.setdiff1d(np.arange(problem.m), [zero_row])
-        coefficients, ranks, _ = problem.solve_rows(every_other[None, :])
+        coefficients, ranks, routes = problem.solve_rows(every_other[None, :])
+        assert routes[0] == DOWNDATE
         ref_coefficients, ref_ranks = self.live_column_loop(problem, every_other[None, :])
         assert ranks[0] == ref_ranks[0] == problem.m - 1
         scores = problem.scores_from_coefficients(coefficients[0])
@@ -1002,12 +1004,11 @@ class TestReplicateDowndateGate:
         # gelsy's eps rank cutoff can count the exact zero row of this
         # replicate as independent (rank 9, not 8); the downdate cannot
         problem = self.paper_problem(sim.generate_dataset(2000, 3), 6, m=32)
-        assert problem.replicate_solve == "downdate"
         rows = replicate_indices(6, 152, problem.m, int(np.floor(0.3 * problem.m)))[151]
         zero_row = np.flatnonzero(~(problem.Xw != 0).any(axis=1))[0]
         assert zero_row in rows
-        coefficients, ranks, _ = problem.solve_rows(rows[None, :])
-        assert ranks[0] == rows.size - 1
+        coefficients, ranks, routes = problem.solve_rows(rows[None, :])
+        assert routes[0] == DOWNDATE and ranks[0] == rows.size - 1
         live = problem.live_columns
         exact = np.zeros(problem.basis.q)
         exact[live] = np.linalg.lstsq(problem.Xw[rows][:, live], problem.yw[rows], rcond=1e-10)[0]
