@@ -17,6 +17,11 @@ deterministic for a fixed seed.  ``summarize`` fans its instances out over a
 pool of ``--threads`` workers, and its output is byte-identical for every
 thread count; ``sweep`` runs serially.
 
+:func:`main` runs with NumPy's and SciPy's bundled OpenBLAS at one thread
+(``_blas.single_blas_thread``): the setting is process-wide, pool workers
+included, for the length of the call only, and is restored afterwards.  An
+exported ``OPENBLAS_NUM_THREADS`` turns the pin off.
+
 Exit codes: 0 success, 1 error (machine-readable JSON on stderr), 3 success
 with partial per-instance/parameter-set failures.
 """
@@ -35,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._blas import single_blas_thread
 from .bootstrap import BootstrapConfig, BootstrapError, bootstrap_from_problem
 from .data import DataError, FeatureSchema, load_dataset, open_output, read_csv_rows, write_csv, write_dataset_csv
 from .explain import ExplainConfig, ExplainError, LocalProblem, build_problem
@@ -423,6 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@single_blas_thread
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)

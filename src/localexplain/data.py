@@ -42,8 +42,8 @@ VALID_OUTPUT_KINDS = ("raw", "probability")
 class DataError(ValueError):
     """Raised for schema violations and malformed input tables.
 
-    ``row`` is the 1-based data-row number (header excluded) and ``column``
-    the offending column name, when known.
+    ``row`` is the 1-based data-row number (header and blank rows excluded)
+    and ``column`` the offending column name, when known.
     """
 
     def __init__(self, message: str, *, row: int | None = None, column: str | None = None):
@@ -81,6 +81,9 @@ class FeatureSpec:
             raise DataError(f"feature name must be a nonempty string, got {self.name!r}")
         if self.name.startswith("#"):
             raise DataError("a feature name may not begin with '#', as a comment line does", column=self.name)
+        if self.name != self.name.strip():
+            raise DataError("a feature name may not begin or end with whitespace, as header names are stripped",
+                            column=self.name)
         for key in ("kind", "baseline"):
             value = getattr(self, key)
             if value is not None and not isinstance(value, str):
@@ -365,12 +368,16 @@ def load_dataset(path: str | os.PathLike, schema: FeatureSchema, output_column: 
     values.  The file is parsed in C by ``np.loadtxt``; a file the C parse
     declines goes through the row parser, whose errors name the offending
     1-based data row and column.  An output column that is also a schema
-    feature, or that begins with ``#``, is an error.
+    feature, that begins with ``#`` or that begins or ends with whitespace
+    is an error.
     """
     if output_column in schema.names:
         raise DataError("the output column is also a schema feature", column=output_column)
     if output_column.startswith("#"):
         raise DataError("the output column may not begin with '#', as a comment line does", column=output_column)
+    if output_column != output_column.strip():
+        raise DataError("the output column may not begin or end with whitespace, as header names are stripped",
+                        column=output_column)
     with open(path, "r", encoding="utf-8", newline="") as stream:
         parsed = _parse_in_c(stream, schema, output_column)
         if parsed is None:
@@ -401,17 +408,20 @@ def read_csv_rows(stream: IO, names, source: str = "CSV") -> tuple[dict[str, int
     """The column index of :func:`read_csv_header` and the data rows after it, by one rule for every input CSV.
 
     Yields ``(number, cells)`` for each row with a nonblank cell, ``number``
-    its 1-based position after the header (blank rows count) and ``cells``
-    stripped.  A row with fewer cells than the header is a DataError naming it.
+    its 1-based position among those rows (blank rows are not counted, as
+    the C parse of a data CSV does not count them) and ``cells`` stripped.  A
+    row with fewer cells than the header is a DataError naming it.
     """
     reader = csv.reader(stream)
     header, col_index = read_csv_header(reader, names, source)
 
     def rows():
-        for number, row in enumerate(reader, start=1):
+        number = 0
+        for row in reader:
             cells = [cell.strip() for cell in row]
             if not any(cells):
                 continue
+            number += 1
             if len(cells) < len(header):
                 raise DataError("row has fewer cells than the header", row=number)
             yield number, cells

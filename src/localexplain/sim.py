@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._blas import single_blas_thread
 from .bootstrap import BootstrapConfig, BootstrapError, bootstrap_from_problem
 from .data import DataError, FeatureSchema, FeatureSpec, QueryDataset, read_csv_rows, write_csv
 from .explain import GRADIENT, ExplainConfig, ExplainError, build_problem
@@ -166,6 +167,7 @@ def sample_query_points(grid: SweepGrid) -> tuple[list[QueryPoint], np.ndarray]:
     return points, np.atleast_1d(d1)
 
 
+@single_blas_thread
 def run_sweep(grid: SweepGrid, threads: int = 1) -> list[SweepRecord]:
     """Monte Carlo coverage/width records for both interval methods.
 
@@ -175,7 +177,10 @@ def run_sweep(grid: SweepGrid, threads: int = 1) -> list[SweepRecord]:
     grid: every bootstrap run draws from a stream keyed by
     (seed, k-index, m-index, c-index, point-index).
 
-    The (m, point) units run serially.  On two cores a thread pool made the
+    The (m, point) units run serially, with NumPy's and SciPy's bundled
+    OpenBLAS at one thread: the setting is process-wide for the length of the
+    call only and is restored afterwards, and an exported
+    ``OPENBLAS_NUM_THREADS`` turns it off.  On two cores a thread pool made the
     sweep slower at either BLAS thread setting; for parallelism, split a large
     sweep across processes by seed.  ``threads`` is kept only for callers that
     pass ``threads=1``; any other value raises ``ValueError``.

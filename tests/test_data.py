@@ -231,6 +231,32 @@ class TestLoadDataset:
         assert err.value.column == "#f"
 
 
+    @pytest.mark.parametrize("name", [" x1", "x1 ", "\tx1"])
+    def test_names_with_surrounding_whitespace_are_rejected(self, tmp_path, name):
+        # header names are stripped, so such a name could never be read back
+        with pytest.raises(DataError, match="whitespace") as err:
+            FeatureSpec(name, "continuous")
+        assert err.value.column == name
+        path = tmp_path / "data.csv"
+        path.write_text(f"x,{name}\n2,0.5\n")
+        with pytest.raises(DataError, match="whitespace") as err:
+            load_dataset(path, FeatureSchema((FeatureSpec("x", "ordinal"),)), output_column=name)
+        assert err.value.column == name
+
+    def test_names_with_inner_whitespace_survive_a_write_and_reload(self, tmp_path):
+        schema = FeatureSchema((
+            FeatureSpec("x 1", "continuous"),
+            FeatureSpec("sh ape", "categorical", categories=("a b", "c"), baseline="c"),
+        ))
+        written = QueryDataset(schema, [[0.5], [-1.25]], [[0], [1]], [1.0, 2.0])
+        path = tmp_path / "data.csv"
+        write_dataset_csv(written, path, output_column="model f")
+        read = load_dataset(path, schema, output_column="model f")
+        for name in ("numeric", "codes", "outputs"):
+            np.testing.assert_array_equal(getattr(read, name), getattr(written, name))
+        assert read.schema == written.schema
+
+
 def parity_schema():
     return FeatureSchema(
         features=(
@@ -329,6 +355,17 @@ class TestCParseParity:
             assert isinstance(err, DataError)
             assert (str(err), err.row, err.column) == (message, row, column)
 
+    @pytest.mark.parametrize("cell, message, c_parse", [
+        # the C parse reads nan and the dataset rejects it; the row parser rejects bad
+        ("nan", "non-finite value nan (row 2, column 'x2')", True),
+        ("bad", "non-numeric value 'bad' for continuous feature (row 2, column 'x2')", False),
+    ], ids=["c_parse", "row_parser"])
+    def test_both_parses_number_rows_without_blank_ones(self, tmp_path, row_parser_calls, cell, message, c_parse):
+        with pytest.raises(DataError) as err:
+            load_text(tmp_path, f"x1,x2,f\n\n1,2,0\n\n\n1,{cell},0\n", two_feature_schema())
+        assert len(row_parser_calls) == (0 if c_parse else 1)
+        assert (str(err.value), err.value.row, err.value.column) == (message, 2, "x2")
+
     def test_path_object_loads_like_its_string(self, tmp_path):
         text = PARITY_CASES["manifest_lines"][0]
         path = tmp_path / "data.csv"
@@ -353,15 +390,15 @@ class TestReadCsvRows:
         stream = io.StringIO("# manifest\n a , b ,c\n 1 ,2,3\n\n , ,\t\n4, x ,6,extra\n")
         columns, rows = read_csv_rows(stream, ("a", "b"))
         assert columns == {"a": 0, "b": 1, "c": 2}
-        # blank and whitespace-only rows are skipped but keep their numbers
-        assert list(rows) == [(1, ["1", "2", "3"]), (4, ["4", "x", "6", "extra"])]
+        # blank and whitespace-only rows are skipped and not counted
+        assert list(rows) == [(1, ["1", "2", "3"]), (2, ["4", "x", "6", "extra"])]
 
     def test_short_row_is_a_data_error_naming_it(self):
         _, rows = read_csv_rows(io.StringIO("a,b,c\n1,2,3\n\n4,5\n"), ("a",))
         assert next(rows) == (1, ["1", "2", "3"])
-        with pytest.raises(DataError, match=r"^row has fewer cells than the header \(row 3\)$") as err:
+        with pytest.raises(DataError, match=r"^row has fewer cells than the header \(row 2\)$") as err:
             next(rows)
-        assert (err.value.row, err.value.column) == (3, None)
+        assert (err.value.row, err.value.column) == (2, None)
 
 
 class TestStandardize:
