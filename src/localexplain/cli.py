@@ -13,14 +13,12 @@ Every output embeds the run manifest (command, hyperparameters, input file
 digests, tool version): JSON reports carry a ``manifest`` key, and every CSV
 output, the ``--dump-scores`` replicate scores included, is written by
 ``data.write_csv`` with a leading ``# manifest: ...`` line.  Outputs are
-deterministic for a fixed seed.  ``summarize`` fans its instances out over a
-pool of ``--threads`` workers, and its output is byte-identical for every
-thread count; ``sweep`` runs serially.
+deterministic for a fixed seed; every subcommand runs serially.
 
 :func:`main` runs with NumPy's and SciPy's bundled OpenBLAS at one thread
-(``_blas.single_blas_thread``): the setting is process-wide, pool workers
-included, for the length of the call only, and is restored afterwards.  An
-exported ``OPENBLAS_NUM_THREADS`` turns the pin off.
+(``_blas.single_blas_thread``): the setting is process-wide for the length of
+the call only, and is restored afterwards.  An exported
+``OPENBLAS_NUM_THREADS`` turns the pin off.
 
 Exit codes: 0 success, 1 error (machine-readable JSON on stderr), 3 success
 with partial per-instance/parameter-set failures.
@@ -31,9 +29,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -41,12 +37,12 @@ import numpy as np
 
 from . import __version__
 from ._blas import single_blas_thread
-from .bootstrap import BootstrapConfig, BootstrapError, bootstrap_from_problem
+from .bootstrap import BootstrapConfig, bootstrap_from_problem
 from .data import DataError, FeatureSchema, load_dataset, open_output, read_csv_rows, write_csv, write_dataset_csv
 from .explain import ExplainConfig, ExplainError, LocalProblem, build_problem
-from .neighborhood import BalanceError, QueryPoint
-from .polyfit import FitError
+from .neighborhood import QueryPoint
 from .sim import (
+    TYPED_ERRORS,
     SweepGrid,
     generate_dataset,
     pareto_frontier,
@@ -65,7 +61,8 @@ SUMMARY_COLUMNS = (
     "feature", "mean_abs_score", "mean_interval_width", "instances_ok", "instances_failed", "low_success"
 )
 
-_CLI_ERRORS = (DataError, BalanceError, FitError, ExplainError, BootstrapError, ValueError, OSError)
+# the typed errors fail one summarize instance; main turns any of these into exit 1
+_CLI_ERRORS = (*TYPED_ERRORS, ValueError, OSError)
 
 
 @dataclass(frozen=True)
@@ -240,8 +237,6 @@ def cmd_explain(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    if args.threads < 1:
-        raise ValueError(f"--threads must be a positive integer, got {args.threads}")
     schema = FeatureSchema.from_json(Path(args.schema).read_text(encoding="utf-8"))
     dataset = load_dataset(args.data, schema, output_column=args.output_column)
     deltas = _parse_deltas(args.delta)
@@ -252,8 +247,8 @@ def cmd_summarize(args) -> int:
     if not rows:
         raise DataError("queries CSV contains no instances")
 
-    def run_instance(item):
-        idx, row = item
+    successes, failures = [], []
+    for idx, row in enumerate(rows):
         seed = int(np.random.SeedSequence([args.seed & _MASK64, 3, idx]).generate_state(1)[0])
         try:
             query = QueryPoint.from_mapping(schema, row)
@@ -262,18 +257,14 @@ def cmd_summarize(args) -> int:
             intervals, _ = bootstrap_from_problem(
                 problem, BootstrapConfig(B=args.B, c=args.c, alpha=args.alpha, seed=seed)
             )
-            widths = {iv.feature: iv.upper - iv.lower for iv in intervals}
-            return {s.feature: (abs(s.value), widths[s.feature]) for s in scores}, None
-        except _CLI_ERRORS as exc:
-            return None, f"instance {idx}: {type(exc).__name__}: {exc}"
+        except TYPED_ERRORS as exc:
+            failures.append(f"instance {idx}: {type(exc).__name__}: {exc}")
+            continue
+        widths = {iv.feature: iv.upper - iv.lower for iv in intervals}
+        successes.append({s.feature: (abs(s.value), widths[s.feature]) for s in scores})
 
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        results = list(pool.map(run_instance, enumerate(rows)))
-
-    failures = [err for _, err in results if err]
     for err in failures:
         print(f"warning: {err}", file=sys.stderr)
-    successes = [res for res, _ in results if res is not None]
     if not successes:
         raise ExplainError("every query instance failed")
     names = list(successes[0].keys())
@@ -400,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("summarize", help="summarize scores/widths over a set of instances")
     _add_common_explain_flags(p)
     p.add_argument("--queries", required=True, help="CSV of query instances")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker threads, a positive integer (default: the CPU count)")
     p.add_argument("--out", default=None, help="summary CSV path (default: stdout)")
     p.set_defaults(func=cmd_summarize)
 

@@ -59,6 +59,15 @@ class DataError(ValueError):
         self.column = column
 
 
+def _check_csv_text(text: str, what: str, column: str, header: bool = True) -> None:
+    """Reject a name or label that no CSV read could match: every cell is stripped,
+    and a ``header`` name beginning with ``#`` would read as a comment line."""
+    if header and text.startswith("#"):
+        raise DataError(f"{what} may not begin with '#', as a comment line does", column=column)
+    if text != text.strip():
+        raise DataError(f"{what} may not begin or end with whitespace, as CSV cells are stripped", column=column)
+
+
 @dataclass(frozen=True)
 class FeatureSpec:
     """Declared type of a single input feature.
@@ -79,11 +88,7 @@ class FeatureSpec:
     def __post_init__(self):
         if not (isinstance(self.name, str) and self.name):
             raise DataError(f"feature name must be a nonempty string, got {self.name!r}")
-        if self.name.startswith("#"):
-            raise DataError("a feature name may not begin with '#', as a comment line does", column=self.name)
-        if self.name != self.name.strip():
-            raise DataError("a feature name may not begin or end with whitespace, as header names are stripped",
-                            column=self.name)
+        _check_csv_text(self.name, "a feature name", self.name)
         for key in ("kind", "baseline"):
             value = getattr(self, key)
             if value is not None and not isinstance(value, str):
@@ -97,6 +102,8 @@ class FeatureSpec:
                 raise DataError(f"feature {self.name!r}: categorical features need >= 2 categories")
             if not all(isinstance(c, str) for c in self.categories):
                 raise DataError(f"feature {self.name!r}: categories must be strings")
+            for label in self.categories:
+                _check_csv_text(label, f"category label {label!r}", self.name, header=False)
             if len(set(self.categories)) != len(self.categories):
                 raise DataError(f"feature {self.name!r}: duplicate categories")
             if self.baseline is not None and self.baseline not in self.categories:
@@ -365,19 +372,15 @@ def load_dataset(path: str | os.PathLike, schema: FeatureSchema, output_column: 
     The header must contain one column per schema feature plus the output
     column (``f`` by default); extra columns are ignored.  This only parses
     cells into numbers and category codes; :class:`QueryDataset` checks the
-    values.  The file is parsed in C by ``np.loadtxt``; a file the C parse
-    declines goes through the row parser, whose errors name the offending
+    values.  The file is parsed in C by one ``np.loadtxt`` pass; a file the C
+    parse declines goes through the row parser, whose errors name the offending
     1-based data row and column.  An output column that is also a schema
     feature, that begins with ``#`` or that begins or ends with whitespace
     is an error.
     """
     if output_column in schema.names:
         raise DataError("the output column is also a schema feature", column=output_column)
-    if output_column.startswith("#"):
-        raise DataError("the output column may not begin with '#', as a comment line does", column=output_column)
-    if output_column != output_column.strip():
-        raise DataError("the output column may not begin or end with whitespace, as header names are stripped",
-                        column=output_column)
+    _check_csv_text(output_column, "the output column", output_column)
     with open(path, "r", encoding="utf-8", newline="") as stream:
         parsed = _parse_in_c(stream, schema, output_column)
         if parsed is None:
@@ -430,38 +433,39 @@ def read_csv_rows(stream: IO, names, source: str = "CSV") -> tuple[dict[str, int
 
 
 def _parse_in_c(stream: IO, schema: FeatureSchema, output_column: str):
-    """(numeric, codes, outputs) from two ``np.loadtxt`` passes, or None if the row parser must decide.
+    """(numeric, codes, outputs) from one ``np.loadtxt`` pass, or None if the row parser must decide.
 
-    Pass 1 reads the output and numeric columns as floats, pass 2 the
-    categorical columns as text.  Whichever pass reads the header's last
-    column makes a short row fail.
+    The output and numeric columns are read as floats; a converter per
+    categorical column maps each stripped cell to its code, or to -1 for an
+    unknown label, which leaves the file to the row parser.  The header's last
+    column is always read, as 0 when unused, so a short row fails.
     """
     reader = csv.reader(stream)
     header, col_index = read_csv_header(reader, (*schema.names, output_column))
     skiprows = reader.line_num
     if not any(any(cell.strip() for cell in row) for row in reader):
         return None  # no data row: the row parser reports the empty dataset
-    float_cols = [col_index[output_column]] + [col_index[s.name] for s in schema.numeric_features]
-    label_cols = [col_index[s.name] for s in schema.categorical_features]
-    if len(header) - 1 not in float_cols + label_cols:
-        label_cols.append(len(header) - 1)
-    options = dict(delimiter=",", comments=None, quotechar='"', skiprows=skiprows, ndmin=2)
-    # reading the open stream keeps a CR inside quotes, as csv does; dtype=object
-    # avoids dtype=str's chunked read, which warns on every blank line
+    n_num = len(schema.numeric_features)
+    usecols = [col_index[name] for name in (output_column, *(s.name for s in schema.numeric_features))]
+    converters = {}
+    for spec in schema.categorical_features:
+        lookup = {label: float(code) for code, label in enumerate(spec.categories)}
+        usecols.append(col_index[spec.name])
+        converters[usecols[-1]] = lambda cell, lookup=lookup: lookup.get(cell.strip(), -1.0)
+    if len(header) - 1 not in usecols:
+        usecols.append(len(header) - 1)
+        converters[usecols[-1]] = lambda cell: 0.0
+    # reading the open stream keeps a CR inside quotes, as csv does
     try:
         stream.seek(0)
-        values = np.loadtxt(stream, dtype=float, usecols=float_cols, **options)
-        stream.seek(0)
-        labels = np.loadtxt(stream, dtype=object, usecols=label_cols, **options) if label_cols else None
+        values = np.loadtxt(stream, dtype=float, usecols=usecols, converters=converters, delimiter=",",
+                            comments=None, quotechar='"', skiprows=skiprows, ndmin=2)
     except ValueError:
         return None
-    codes = np.empty((values.shape[0], len(schema.categorical_features)), dtype=np.int64)
-    for j, spec in enumerate(schema.categorical_features):
-        lookup = {label: code for code, label in enumerate(spec.categories)}
-        codes[:, j] = [lookup.get(cell.strip(), -1) for cell in labels[:, j].tolist()]
+    codes = values[:, 1 + n_num:1 + len(schema.features)].astype(np.int64)
     if (codes < 0).any():
         return None
-    return np.ascontiguousarray(values[:, 1:]), codes, np.ascontiguousarray(values[:, 0])
+    return np.ascontiguousarray(values[:, 1:1 + n_num]), codes, np.ascontiguousarray(values[:, 0])
 
 
 def _parse_rows(stream: IO, schema: FeatureSchema, output_column: str):

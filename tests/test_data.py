@@ -233,10 +233,13 @@ class TestLoadDataset:
 
     @pytest.mark.parametrize("name", [" x1", "x1 ", "\tx1"])
     def test_names_with_surrounding_whitespace_are_rejected(self, tmp_path, name):
-        # header names are stripped, so such a name could never be read back
+        # cells are stripped, so such a name or category label could never be read back
         with pytest.raises(DataError, match="whitespace") as err:
             FeatureSpec(name, "continuous")
         assert err.value.column == name
+        with pytest.raises(DataError, match="whitespace") as err:
+            FeatureSpec("c", "categorical", categories=(name, "b"))
+        assert err.value.column == "c" and repr(name) in str(err.value)
         path = tmp_path / "data.csv"
         path.write_text(f"x,{name}\n2,0.5\n")
         with pytest.raises(DataError, match="whitespace") as err:
@@ -246,9 +249,9 @@ class TestLoadDataset:
     def test_names_with_inner_whitespace_survive_a_write_and_reload(self, tmp_path):
         schema = FeatureSchema((
             FeatureSpec("x 1", "continuous"),
-            FeatureSpec("sh ape", "categorical", categories=("a b", "c"), baseline="c"),
+            FeatureSpec("sh ape", "categorical", categories=("a b", "#hash", 'say "hi"', "c"), baseline="c"),
         ))
-        written = QueryDataset(schema, [[0.5], [-1.25]], [[0], [1]], [1.0, 2.0])
+        written = QueryDataset(schema, [[0.5], [-1.25], [2.0], [0.0]], [[0], [1], [2], [3]], [1.0, 2.0, 3.0, 4.0])
         path = tmp_path / "data.csv"
         write_dataset_csv(written, path, output_column="model f")
         read = load_dataset(path, schema, output_column="model f")
@@ -289,6 +292,7 @@ PARITY_CASES = {
         "x1,extra,tag,x2,f,x1,f\n1,zz,plain,2,0.5,9,9\n2,,a#b,3,1,8,8,longer\n", True,
     ),
     "underscore_numbers": ("x1,tag,x2,f\n1_000,plain,2,0.5\n2,a#b,3_0,1\n", False),
+    "unused_last_text_column": ("x1,tag,x2,f,note\n1,plain,2,0.5,free text\n2,a#b,3,1,more\n", True),
 }
 
 
@@ -373,6 +377,19 @@ class TestCParseParity:
         from_str, from_path = (load_dataset(source, parity_schema()) for source in (str(path), path))
         for name in ("numeric", "codes", "outputs"):
             np.testing.assert_array_equal(getattr(from_path, name), getattr(from_str, name))
+
+    def test_a_mixed_file_takes_one_loadtxt_pass(self, tmp_path, monkeypatch):
+        calls = []
+        loadtxt = np.loadtxt
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(data.np, "loadtxt", counted)
+        ds = load_text(tmp_path, INTERLEAVED_CSV, interleaved_schema())
+        assert len(calls) == 1
+        np.testing.assert_array_equal(ds.codes, [[2, 0], [0, 2], [1, 1]])
 
     def test_header_only_file_is_empty_without_warning(self, tmp_path):
         path = tmp_path / "data.csv"

@@ -1,5 +1,6 @@
-"""The documented API: the README quickstart runs, its CLI examples parse, every export resolves."""
+"""The documented API: the README quickstart runs, its CLI examples and flags parse, every export resolves."""
 
+import argparse
 import json
 import re
 import shlex
@@ -49,6 +50,17 @@ def test_readme_cli_examples_use_only_their_subcommands_flags():
     for argv in commands:
         _, unknown = parser.parse_known_args(argv)  # a missing required flag exits
         assert unknown == [], f"README's `localexplain {argv[0]}` passes {unknown}"
+
+
+def test_readme_prose_names_only_flags_a_subcommand_accepts():
+    """Every backticked ``--flag`` outside README's code blocks is an option of the parser or of a subcommand."""
+    prose = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    flags = set(re.findall(r"`(--[\w-]+)", prose))
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    accepted = set(parser._option_string_actions).union(*(p._option_string_actions for p in subcommands.values()))
+    assert "--output-column" in flags
+    assert sorted(flags - accepted) == []
 
 
 def test_every_exported_name_resolves():
