@@ -34,6 +34,7 @@ from statistics import NormalDist
 from typing import Mapping
 
 import numpy as np
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .data import OneHotLayout, QueryDataset, from_log_odds, to_log_odds
 from .neighborhood import Neighborhood, QueryPoint, compute_weights, select_neighborhood
@@ -103,6 +104,8 @@ _GRAM_CHUNK_BYTES = 1 << 19
 ROUTES = ("downdate", "deletion", "gelsy")
 DOWNDATE, DELETION, GELSY = range(len(ROUTES))
 
+_POTRF = get_lapack_funcs("potrf", (np.empty((1, 1)),))
+
 
 def _deletion_pays(most_dropped: int, m_prime: int, n_live: int) -> bool:
     """Whether row deletion should solve subsets of m' rows dropping at most ``most_dropped`` nonzero ones.
@@ -125,19 +128,8 @@ def _deletion_pays(most_dropped: int, m_prime: int, n_live: int) -> bool:
 
 
 def _positive_definite(stack: np.ndarray) -> np.ndarray:
-    """Which symmetric matrices of a stack have a Cholesky factor.
-
-    One batched Cholesky passes a stack whose members all have one; when it
-    fails, each member is factored on its own, so any number of failures
-    costs one more factorization per member.
-    """
-    try:
-        np.linalg.cholesky(stack)
-        return np.ones(len(stack), dtype=bool)
-    except np.linalg.LinAlgError:
-        if len(stack) == 1:
-            return np.zeros(1, dtype=bool)
-        return np.concatenate([_positive_definite(stack[i:i + 1]) for i in range(len(stack))])
+    """Which symmetric matrices of a stack have a Cholesky factor: one LAPACK potrf of each member's lower triangle."""
+    return np.array([_POTRF(member, lower=True)[1] == 0 for member in stack], dtype=bool)
 
 
 def _condition(s: np.ndarray, rank: int) -> float:
@@ -437,8 +429,8 @@ class LocalProblem:
         * ``deletion`` (N > p): every subset, by :meth:`_delete`, when m'
           and the largest d any subset can have, min(N, m - m'), pass the
           shape rule :func:`_deletion_pays` (m' - d >= p while d < p, else
-          m' >= 1.5 p); a subset whose kept rows fail ``DELETION_GATE`` goes
-          to gelsy;
+          m' >= 1.5 p); a subset whose kept rows fail ``DELETION_GATE``, by
+          its one Cholesky factorization, goes to gelsy;
         * ``gelsy``: every other subset, one LAPACK gelsy call each, one at
           a time (stacking them would hold B copies of the design matrix).
 
@@ -461,12 +453,11 @@ class LocalProblem:
         ranks = np.empty(n_subsets, dtype=np.int64)
         # a subset drops m - m' rows, at most N of them nonzero
         most_dropped = min(n_rows, self.m - m_prime)
-        if n_rows <= n_live and self._row_svd[1] is not None:
-            solved, fits, ranks = self._downdate(*self._dropped_rows(row_indices))
-            routes[solved] = DOWNDATE
-        elif n_live < n_rows and _deletion_pays(most_dropped, m_prime, n_live) and self._row_svd[1] is not None:
-            solved, beta = self._delete(*self._dropped_rows(row_indices))
-            fits[solved], ranks[solved], routes[solved] = beta, n_live, DELETION
+        route = DOWNDATE if n_rows <= n_live else DELETION if _deletion_pays(most_dropped, m_prime, n_live) else GELSY
+        if route != GELSY and self._row_svd[1] is not None:
+            solve = self._downdate if route == DOWNDATE else self._delete
+            solved, fits, ranks = solve(*self._dropped_rows(row_indices))
+            routes[solved] = route
         Xw = self.Xw[:, live]
         for b in np.flatnonzero(routes == GELSY).tolist():
             rows = row_indices[b]
@@ -576,7 +567,7 @@ class LocalProblem:
                         ranks[members] -= n_null - span
         return solved, out @ vt, ranks
 
-    def _delete(self, dropped: np.ndarray, drop_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _delete(self, dropped: np.ndarray, drop_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Overdetermined subset fits over the live columns, by deleting rows from one SVD.
 
         With ``U S V'`` of the N nonzero rows (N > p, full column rank), a
@@ -590,16 +581,18 @@ class LocalProblem:
         fewer rows: ``U_K' U_K`` from the kept rows or ``I - U_D' U_D`` from
         the dropped ones.  A subset is accepted when that eigenvalue, the
         squared smallest singular value of ``U_K``, is at least
-        ``DELETION_GATE`` (a Cholesky factor of ``M`` or ``G`` less that
-        times ``I``); the others are returned unsolved, for gelsy.  Subsets
-        are grouped by drop count and stacked in chunks of at most
-        ``_CHUNK_BYTES`` (``_GRAM_CHUNK_BYTES`` for ``G``).  Returns the mask
-        of accepted subsets, each of rank p, and their fits.
+        ``DELETION_GATE``: one Cholesky factorization of ``M`` or ``G`` less
+        that times ``I`` per subset decides, whether it passes or not.  The
+        others are left unsolved, for gelsy.  Subsets are grouped by drop
+        count and stacked in chunks of at most ``_CHUNK_BYTES``
+        (``_GRAM_CHUNK_BYTES`` for ``G``).  Returns what :meth:`_downdate`
+        does: the mask of accepted subsets, the fits (zero for the others)
+        and the ranks, p for each.
         """
         _, (s, u, uty, vt, _, _) = self._row_svd
         y = self.yw[self.nonzero_rows]
         n_rows, n_live = u.shape
-        w = np.empty((drop_counts.size, n_live))
+        w = np.zeros((drop_counts.size, n_live))
         solved = np.ones(drop_counts.size, dtype=bool)
         for count in np.unique(drop_counts):
             subsets = np.flatnonzero(drop_counts == count)
@@ -636,7 +629,7 @@ class LocalProblem:
                 else:
                     x = np.linalg.solve(m, u_side @ r[:, :, None])
                     w[at] = r + (u_side.transpose(0, 2, 1) @ x)[:, :, 0]
-        return solved, (w[solved] / s) @ vt
+        return solved, (w / s) @ vt, np.full(drop_counts.size, n_live)
 
     # -- naive closed-form interval -----------------------------------------
 

@@ -104,8 +104,8 @@ class SweepGrid:
     """The (k, m, c) grid plus the Monte Carlo scale of a coverage sweep.
 
     Every k, m, c, B and alpha must pass :class:`ExplainConfig`'s and
-    :class:`BootstrapConfig`'s checks (their errors propagate), and every m
-    must be at most n.
+    :class:`BootstrapConfig`'s checks (their errors propagate), every m
+    must be at most n, and no list may repeat a value.
     """
 
     k_values: tuple[int, ...]
@@ -120,6 +120,9 @@ class SweepGrid:
     def __post_init__(self):
         if not (self.k_values and self.m_values and self.c_values):
             raise ValueError("sweep grid must have at least one k, m, and c value")
+        for name, values in (("k", self.k_values), ("m", self.m_values), ("c", self.c_values)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"sweep grid {name} list {list(values)} repeats a value")
         if self.p < 1:
             raise ValueError("query point count p must be >= 1")
         for k in self.k_values:

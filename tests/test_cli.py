@@ -661,7 +661,8 @@ class TestSweepCommand:
         {"--B": "1"},
         {"--m-list": "500", "--n": "300"},
         {"--alpha": "1.5"},
-    ], ids=["c", "k", "B", "m_over_n", "alpha"])
+        {"--k-list": "1,1"},
+    ], ids=["c", "k", "B", "m_over_n", "alpha", "repeated_k"])
     def test_invalid_grid_rejected(self, tmp_path, capsys, override):
         flags = {"--k-list": "1", "--m-list": "8", "--c-list": "0.5", "--n": "100",
                  "--p": "1", "--B": "8", **override}

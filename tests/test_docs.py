@@ -7,7 +7,10 @@ import shlex
 import warnings
 from pathlib import Path
 
+import pytest
+
 import localexplain
+from localexplain import explain
 from localexplain.cli import EXIT_OK, build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -92,3 +95,27 @@ def test_every_diagnostics_key_is_documented(tmp_path):
     assert {"naive_ci_skipped", "row_rank", "replicate_rank"} <= keys
     assert sorted(keys - documented) == []
     assert sorted(documented - keys) == []
+
+
+#: README's statements of the solver thresholds, each value a capture group,
+#: with the ``explain`` constant each group must equal (sizes given in KiB).
+SOLVER_THRESHOLDS = [
+    (r"s₁/s_r at most (\S+), or at most (\S+) when the rows are independent",
+     ["ROW_CONDITION_MAX", "INDEPENDENT_ROW_CONDITION_MAX"]),
+    (r"with σ² ≥ (\S+) the dropped rows touch it", ["DELETION_GATE"]),
+    (r"with σ ≤ (\S+) it lies among the kept rows alone", ["KEPT_RELATION_MAX"]),
+    (r"stacked in chunks of at most (\d+) KiB, split by k′", ["_CHUNK_BYTES"]),
+    (r"`deletion` \(N > p and row condition at most (\S+)\)", ["ROW_CONDITION_MAX"]),
+    (r"chunks of at most (\d+) KiB, or (\d+) KiB for the Gram form", ["_CHUNK_BYTES", "_GRAM_CHUNK_BYTES"]),
+    (r"kept rows of `U` is at least (\S+), which", ["DELETION_GATE"]),
+]
+
+
+@pytest.mark.parametrize("pattern, constants", SOLVER_THRESHOLDS, ids=[" ".join(c) for _, c in SOLVER_THRESHOLDS])
+def test_readme_solver_thresholds_match_the_code(pattern, constants):
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    found = re.search(pattern, text)
+    assert found, f"README no longer says {pattern!r}"
+    for value, name in zip(found.groups(), constants):
+        documented = 1024 * int(value) if name.endswith("_BYTES") else float(value)
+        assert documented == getattr(explain, name), f"README gives {name} as {value}"

@@ -964,6 +964,26 @@ class TestReplicateDowndateGate:
         assert _positive_definite(stack).tolist() == expected
         assert _positive_definite(stack[expected]).all()
 
+    def test_the_gate_factors_each_member_once(self, monkeypatch):
+        """Failures scattered through a stack cost no second factorization: one potrf call per member."""
+        from localexplain import explain as explain_module
+
+        rng = np.random.default_rng(13)
+        basis = rng.standard_normal((120, 20, 40))
+        stack = basis @ basis.transpose(0, 2, 1) / 40 - 0.1 * np.eye(20)
+        stack[[0, 7, 8, 64, 119], 3, 3] = -1.0
+        calls = []
+        original = explain_module._POTRF
+
+        def counting(a, **kwargs):
+            calls.append(a.shape)
+            return original(a, **kwargs)
+
+        monkeypatch.setattr(explain_module, "_POTRF", counting)
+        passed = _positive_definite(stack)
+        assert 5 <= (~passed).sum() < 60 and passed.any()
+        assert calls == [(20, 20)] * len(stack)
+
     def test_zero_weight_member_lowers_the_rank_by_one(self):
         problem = self.paper_problem(sim.generate_dataset(2000, 0), 1)
         zero_rows = np.flatnonzero(~(problem.Xw != 0).any(axis=1))

@@ -145,6 +145,16 @@ class TestSweep:
             r3 = run_sweep(self.small_grid())
         assert r1 == r2 == r3
 
+    @pytest.mark.parametrize("name, override", [
+        ("k", dict(k_values=(1, 1))),
+        ("m", dict(m_values=(24, 32, 24))),
+        ("c", dict(c_values=(0.9, 0.5, 0.9))),
+    ])
+    def test_a_repeated_grid_value_is_rejected(self, name, override):
+        # a repeated value would give several different records for one (method, k, m, c)
+        with pytest.raises(ValueError, match=rf"sweep grid {name} list .* repeats a value"):
+            self.small_grid(**override)
+
     @pytest.mark.parametrize("threads", [0, 2])
     def test_threads_other_than_one_raise(self, threads):
         with pytest.raises(ValueError, match="threads must be 1"):
