@@ -209,7 +209,7 @@ def _report_for_problem(problem: LocalProblem, boot: BootstrapConfig, naive_ci: 
 
 
 def cmd_explain(args) -> int:
-    schema = FeatureSchema.from_json(Path(args.schema).read_text(encoding="utf-8"))
+    schema = FeatureSchema.from_json(Path(args.schema).read_text(encoding="utf-8-sig"))
     dataset = load_dataset(args.data, schema, output_column=args.output_column)
     deltas = _parse_deltas(args.delta)
     query = _parse_query(args.query, dataset)
@@ -237,11 +237,11 @@ def cmd_explain(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    schema = FeatureSchema.from_json(Path(args.schema).read_text(encoding="utf-8"))
+    schema = FeatureSchema.from_json(Path(args.schema).read_text(encoding="utf-8-sig"))
     dataset = load_dataset(args.data, schema, output_column=args.output_column)
     deltas = _parse_deltas(args.delta)
     config = _explain_config(args, deltas)
-    with open(args.queries, "r", encoding="utf-8", newline="") as fh:
+    with open(args.queries, "r", encoding="utf-8-sig", newline="") as fh:
         columns, cells = read_csv_rows(fh, schema.names, "queries CSV")
         rows = [{name: row[columns[name]] for name in schema.names} for _, row in cells]
     if not rows:

@@ -381,7 +381,7 @@ def load_dataset(path: str | os.PathLike, schema: FeatureSchema, output_column: 
     if output_column in schema.names:
         raise DataError("the output column is also a schema feature", column=output_column)
     _check_csv_text(output_column, "the output column", output_column)
-    with open(path, "r", encoding="utf-8", newline="") as stream:
+    with open(path, "r", encoding="utf-8-sig", newline="") as stream:
         parsed = _parse_in_c(stream, schema, output_column)
         if parsed is None:
             stream.seek(0)

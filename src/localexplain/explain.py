@@ -416,8 +416,8 @@ class LocalProblem:
         the (B, q) coefficient matrix, the (B,) effective ranks and the (B,)
         route codes (``ROUTES[code]`` names how each subset was solved).
         Rows are pre-scaled by sqrt-weights when the problem is weighted; the
-        point estimate is the subset of every row (:attr:`point_fit`).  A
-        column zero on every row (``live_columns`` are the others) gets the
+        point estimate, :attr:`point_fit`, is the subset of every row (d = 0).
+        A column zero on every row (``live_columns`` are the others) gets the
         exact minimum-norm 0 without entering the solve.
 
         Let N be the nonzero weighted rows, r their numerical rank, p the
@@ -509,9 +509,12 @@ class LocalProblem:
         N - d - (k - k'); with k = 0 this is the independent case.
 
         Subsets are grouped by drop count and stacked in chunks of at most
-        ``_CHUNK_BYTES``; a chunk of dependent rows is split by k'.  Returns
-        the mask of solved subsets, the fits (zero for the others) and the
-        ranks.
+        ``_CHUNK_BYTES``; a chunk of dependent rows is split by k'.  The point
+        fit (d = 0) is ``z`` at rank r, set up front.  A subset whose dropped
+        rows all touch relations loses no direction, and one that keeps no
+        nonzero row projects onto none (the zero fit, rank 0): the same code
+        takes both as empty stacks.  Returns the mask of solved subsets, the
+        fits (zero for the others) and the ranks.
         """
         _, (s, u, uty, vt, null, nty) = self._row_svd
         y = self.yw[self.nonzero_rows]
@@ -519,17 +522,12 @@ class LocalProblem:
         scaled, inverse = u * s, u / s
         n_rows, n_null = null.shape
         out = np.zeros((drop_counts.size, s.size))
-        ranks = n_rows - drop_counts
+        out[drop_counts == 0] = z  # the point fit's fast path: it drops no row
+        ranks = s.size - drop_counts  # r - d, plus each group's k' below
         solved = np.ones(drop_counts.size, dtype=bool)
-        for count in np.unique(drop_counts):
+        for count in np.unique(drop_counts[drop_counts > 0]):
             subsets = np.flatnonzero(drop_counts == count)
             kept = n_rows - count
-            if count == 0:
-                out[subsets] = z
-                ranks[subsets] = s.size
-                continue
-            if kept == 0:
-                continue  # nothing kept: the zero fit
             positions = np.nonzero(dropped[subsets])[1].reshape(subsets.size, count)
             # every stack of a chunk is at most (nonzero rows, d) per subset
             chunk = max(1, _CHUNK_BYTES // (8 * n_rows * count))
@@ -556,15 +554,12 @@ class LocalProblem:
                     if span == n_null and kept < count:
                         kept_at = np.nonzero(~dropped[members])[1].reshape(members.size, kept)
                         out[members] = _project(np.linalg.qr(scaled[kept_at].transpose(0, 2, 1)).Q, w)
-                    elif span < count:
+                    else:
                         lost = inverse[dropped_at].transpose(0, 2, 1)  # (g, r, d)
                         if n_null:
                             lost = lost @ lefts[group, :, span:]
                         out[members] = w - _project(np.linalg.qr(lost).Q, w)
-                    else:
-                        out[members] = w
-                    if n_null:
-                        ranks[members] -= n_null - span
+                    ranks[members] += span
         return solved, out @ vt, ranks
 
     def _delete(self, dropped: np.ndarray, drop_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -583,11 +578,11 @@ class LocalProblem:
         squared smallest singular value of ``U_K``, is at least
         ``DELETION_GATE``: one Cholesky factorization of ``M`` or ``G`` less
         that times ``I`` per subset decides, whether it passes or not.  The
-        others are left unsolved, for gelsy.  Subsets are grouped by drop
-        count and stacked in chunks of at most ``_CHUNK_BYTES``
-        (``_GRAM_CHUNK_BYTES`` for ``G``).  Returns what :meth:`_downdate`
-        does: the mask of accepted subsets, the fits (zero for the others)
-        and the ranks, p for each.
+        others are left unsolved, for gelsy.  The point fit (d = 0) is a 0 x 0
+        Woodbury system, so ``w = U' y``.  Subsets are grouped by drop count
+        and stacked in chunks of at most ``_CHUNK_BYTES`` (``_GRAM_CHUNK_BYTES``
+        for ``G``).  Returns what :meth:`_downdate` does: the mask of accepted
+        subsets, the fits (zero for the others) and the ranks, p for each.
         """
         _, (s, u, uty, vt, _, _) = self._row_svd
         y = self.yw[self.nonzero_rows]
@@ -596,9 +591,6 @@ class LocalProblem:
         solved = np.ones(drop_counts.size, dtype=bool)
         for count in np.unique(drop_counts):
             subsets = np.flatnonzero(drop_counts == count)
-            if count == 0:
-                w[subsets] = uty
-                continue
             gram = count >= n_live
             kept_side = gram and n_rows - count < count
             side = n_rows - count if kept_side else count
@@ -606,7 +598,7 @@ class LocalProblem:
                 chunk = max(1, _GRAM_CHUNK_BYTES // (8 * n_live * max(side, n_live)))
                 eye = np.eye(n_live)
             else:
-                chunk = max(1, _CHUNK_BYTES // (8 * n_live * count))
+                chunk = max(1, _CHUNK_BYTES // (8 * n_live * max(count, 1)))
                 eye = np.eye(count)
             for start in range(0, subsets.size, chunk):
                 at = subsets[start:start + chunk]

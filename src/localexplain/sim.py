@@ -308,7 +308,7 @@ def read_baseline_csv(path: str) -> list[SweepRecord]:
     and ``c`` columns fill in the parameter set.
     """
     records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         columns, rows = read_csv_rows(fh, ("method", "avg_width", "coverage"), "baseline CSV")
         for _, row in rows:
             cell = {name: row[idx] for name, idx in columns.items()}

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior on small synthetic inputs."""
 
+import codecs
 import csv
 import gc
 import json
@@ -538,6 +539,38 @@ class TestSummarize:
         assert err == {"type": "DataError", "message": "row has fewer cells than the header (row 2)"}
         assert not out.exists()
 
+    def test_a_header_only_queries_csv_is_a_json_error(self, tmp_path, capsys):
+        data, schema = write_mixed_inputs(tmp_path)
+        queries = tmp_path / "queries.csv"
+        queries.write_text("x1,x2,color\n")
+        out = tmp_path / "summary.csv"
+        code = main([
+            "summarize", "--data", data, "--schema", schema, "--queries", str(queries),
+            "--k", "1", "--m", "60", "--B", "20", "--out", str(out),
+        ])
+        assert code == EXIT_ERROR
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "DataError", "message": "queries CSV contains no instances"}
+        assert not out.exists()
+
+    def test_every_instance_failing_is_a_json_error(self, tmp_path, capsys):
+        data, schema = write_mixed_inputs(tmp_path)
+        queries = tmp_path / "queries.csv"
+        queries.write_text("x1,x2,color\n0.1,0.9,purple\n-0.4,-1.0,teal\n")
+        out = tmp_path / "summary.csv"
+        code = main([
+            "summarize", "--data", data, "--schema", schema, "--queries", str(queries),
+            "--k", "1", "--m", "60", "--B", "20", "--out", str(out),
+        ])
+        assert code == EXIT_ERROR
+        *warned, error = capsys.readouterr().err.splitlines()
+        # one warning per instance, then the error
+        assert len(warned) == 2
+        assert warned[0].startswith("warning: instance 0: DataError: ") and "purple" in warned[0]
+        assert warned[1].startswith("warning: instance 1: DataError: ") and "teal" in warned[1]
+        assert json.loads(error)["error"] == {"type": "ExplainError", "message": "every query instance failed"}
+        assert not out.exists()
+
     def test_feature_names_that_need_quoting(self, tmp_path):
         names = ["income, usd", 'say "hi"']
         x = np.random.default_rng(5).uniform(-2, 2, (90, 2))
@@ -558,6 +591,51 @@ class TestSummarize:
             rows = [row for row in csv.reader(fh) if not row[0].startswith("#")]
         assert [len(row) for row in rows] == [6, 6, 6]
         assert [row[0] for row in rows[1:]] == names
+
+
+class TestByteOrderMark:
+    """Every input file may begin with a UTF-8 byte-order mark, as Excel's "CSV UTF-8" writes; no output does."""
+
+    #: each command's own flags; ``{out}`` is the CSV output compared
+    COMMANDS = {
+        "explain": ["--query", "0", "--out", "{tmp}/report.json", "--dump-scores", "{out}"],
+        "summarize": ["--queries", "{queries}", "--out", "{out}"],
+        "sweep": ["--k-list", "1", "--m-list", "24", "--c-list", "0.7", "--n", "300", "--p", "1", "--B", "16",
+                  "--seed", "3", "--merge", "{merge}", "--sweep-out", "{tmp}/sweep.csv", "--frontier-out", "{out}"],
+    }
+
+    @pytest.mark.parametrize("command, marked", [
+        ("explain", "data"),
+        ("explain", "schema"),
+        ("summarize", "schema"),
+        ("summarize", "queries"),
+        ("sweep", "merge"),
+    ])
+    def test_a_marked_input_reads_as_the_unmarked_one(self, tmp_path, command, marked):
+        data, schema = write_mixed_inputs(tmp_path)
+        queries = tmp_path / "queries.csv"
+        queries.write_text("x1,x2,color\n0.1,0.9,g\n-0.4,-1.0,r\n")
+        merge = tmp_path / "baseline.csv"
+        merge.write_text("method,avg_width,coverage\nexternal,0.001,0.99\n")
+        plain = {"data": data, "schema": schema, "queries": str(queries), "merge": str(merge)}
+        source = tmp_path / os.path.basename(plain[marked])
+        bom = source.with_name(f"marked_{source.name}")
+        bom.write_bytes(codecs.BOM_UTF8 + source.read_bytes())
+        outputs = []
+        for paths in (plain, {**plain, marked: str(bom)}):
+            out = tmp_path / f"out_{len(outputs)}.csv"
+            fields = {**paths, "tmp": str(tmp_path), "out": str(out)}
+            common = [] if command == "sweep" else [
+                "--data", paths["data"], "--schema", paths["schema"], "--k", "1", "--m", "45", "--B", "20",
+            ]
+            argv = [command, *common, *(arg.format(**fields) for arg in self.COMMANDS[command])]
+            assert main(argv) == EXIT_OK
+            text = out.read_bytes()
+            assert text.startswith(b"# manifest: ")
+            outputs.append([line for line in text.splitlines() if not line.startswith(b"#")])
+        assert outputs[0] == outputs[1] and len(outputs[0]) > 1
+        if command == "sweep":
+            assert any(line.startswith(b"external,") for line in outputs[1])
 
 
 @pytest.fixture(scope="module")
@@ -654,6 +732,21 @@ class TestSweepCommand:
         assert err["type"] == "DataError"
         assert "row 2" in err["message"]
         assert not sweep_out.exists()
+
+    def test_invalid_parameter_sets_exit_partial(self, tmp_path, capsys):
+        # at m=5 every point fails both methods: those two sets are invalid and left off the frontier
+        frontier_out = tmp_path / "frontier.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main([
+                "sweep", "--k-list", "1", "--m-list", "5,40", "--c-list", "0.5",
+                "--n", "200", "--p", "4", "--B", "20", "--seed", "3",
+                "--sweep-out", str(tmp_path / "sweep.csv"), "--frontier-out", str(frontier_out),
+            ])
+        assert code == EXIT_PARTIAL
+        assert capsys.readouterr().err == "warning: 2 parameter set(s) invalid (>10% failed points)\n"
+        frontier = list(csv.DictReader(ln for ln in frontier_out.read_text().splitlines() if not ln.startswith("#")))
+        assert [(r["method"], r["m"]) for r in frontier] == [("bootstrap", "40"), ("naive", "40")]
 
     @pytest.mark.parametrize("override", [
         {"--c-list": "0.1"},

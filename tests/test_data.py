@@ -1,5 +1,6 @@
 """Ingestion, schema validation, and preprocessing transforms."""
 
+import codecs
 import io
 import json
 import math
@@ -369,6 +370,23 @@ class TestCParseParity:
             load_text(tmp_path, f"x1,x2,f\n\n1,2,0\n\n\n1,{cell},0\n", two_feature_schema())
         assert len(row_parser_calls) == (0 if c_parse else 1)
         assert (str(err.value), err.value.row, err.value.column) == (message, 2, "x2")
+
+    @pytest.mark.parametrize("case", ["manifest_lines", "all_blank_cells_row"])
+    def test_a_byte_order_mark_is_skipped_by_either_parse(self, tmp_path, row_parser_calls, case):
+        """A file that begins with a UTF-8 byte-order mark, as Excel's "CSV UTF-8" writes, loads as one without.
+
+        The row of blank cells makes the C parse decline, so the row parser
+        reads the file again after a ``seek(0)``, which must skip the mark too.
+        """
+        text, c_only = PARITY_CASES[case]
+        plain = load_text(tmp_path, text, parity_schema())
+        path = tmp_path / "marked.csv"
+        path.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        marked = load_dataset(path, parity_schema())
+        assert len(row_parser_calls) == (0 if c_only else 2)
+        for name in ("numeric", "codes", "outputs"):
+            np.testing.assert_array_equal(getattr(marked, name), getattr(plain, name))
+        assert marked.schema == plain.schema
 
     def test_path_object_loads_like_its_string(self, tmp_path):
         text = PARITY_CASES["manifest_lines"][0]

@@ -1020,6 +1020,36 @@ class TestReplicateDowndateGate:
         assert ranks[0] == 0
         assert np.abs(coefficients).max() <= 1e-12 * np.abs(problem.point_fit.coefficients).max()
 
+    def test_subsets_dropping_only_related_rows_or_every_nonzero_row(self):
+        """Downdates that leave no lost direction: every dropped row touches a relation, or no nonzero row is kept.
+
+        Row 1 and its three copies lead the neighborhood, which has 65
+        nonzero rows and 3 relations among them.  Dropping 1 to 3 of the
+        four removes one relation per row and keeps the rank; the fourth
+        takes one rank.  Dropping every nonzero row leaves the zero fit.
+        """
+        problem = self.paper_problem(three_copies_dataset(), 1)
+        n_rows, live = problem.nonzero_rows.size, problem.live_columns
+        assert (n_rows, n_rows - problem.row_rank) == (65, 3)
+        assert problem.neighborhood.member_indices[problem.nonzero_rows[:4]].tolist() == [1, 2000, 2001, 2002]
+        dropped = np.zeros((5, n_rows), dtype=bool)
+        for copies in range(1, 5):
+            dropped[copies - 1, :copies] = True
+        dropped[4] = True
+        solved, fits, ranks = problem._downdate(dropped, dropped.sum(axis=1))
+        assert solved.all()
+        assert ranks.tolist() == [62, 62, 62, 61, 0]
+        assert (fits[4] == 0).all()
+        for mask, fit, rank in zip(dropped, fits, ranks):
+            kept = np.setdiff1d(np.arange(problem.m), problem.nonzero_rows[mask])
+            ref, ref_rank = lstsq_min_norm(problem.Xw[kept][:, live], problem.yw[kept])
+            assert ref_rank == rank
+            assert np.abs(fit - ref).max() <= 1e-9 * np.abs(ref).max()
+            coefficients = np.zeros((2, problem.basis.q))
+            coefficients[:, live] = fit, ref
+            scores, ref_scores = problem.scores_from_coefficients(coefficients)
+            assert (np.abs(scores - ref_scores) <= 1e-7 * np.abs(ref_scores).max()).all()
+
     def test_exact_where_a_replicate_holds_the_zero_weight_row(self):
         # gelsy's eps rank cutoff can count the exact zero row of this
         # replicate as independent (rank 9, not 8); the downdate cannot

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from localexplain.data import QueryDataset, standardize
+from localexplain.explain import ExplainError, build_problem
 from localexplain.sim import (
     SweepGrid,
     SweepRecord,
@@ -169,6 +170,33 @@ class TestSweep:
             assert r.failed_points >= 0
             if r.failed_points < r.points:
                 assert np.isfinite(r.avg_width)
+
+    def test_failed_points_are_counted_per_record(self):
+        # at m=5 the naive interval has 0 degrees of freedom and the bootstrap fails too
+        grid = SweepGrid(k_values=(1,), m_values=(5, 40), c_values=(0.5,), n=200, p=4, B=20, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            records = run_sweep(grid)
+        assert [(r.method, r.m, r.failed_points, r.points, r.invalid) for r in records] == [
+            ("bootstrap", 5, 4, 4, True), ("bootstrap", 40, 0, 4, False),
+            ("naive", 5, 4, 4, True), ("naive", 40, 0, 4, False),
+        ]
+        assert all(math.isnan(r.avg_width) and r.coverage == 0 for r in records if r.m == 5)
+
+    def test_a_problem_that_cannot_be_built_fails_every_method_of_its_k(self, monkeypatch):
+        def build_or_fail(dataset, point, config):
+            if config.degree == 2:
+                raise ExplainError("no problem at k=2")
+            return build_problem(dataset, point, config)
+
+        monkeypatch.setattr("localexplain.sim.build_problem", build_or_fail)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            records = run_sweep(self.small_grid())
+        assert len(records) == 8
+        for r in records:
+            assert r.failed_points == (r.points if r.k == 2 else 0), r
+            assert r.invalid == (r.k == 2)
 
     def test_query_points_shared_and_interior(self):
         grid = self.small_grid(p=40)
