@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -455,11 +456,14 @@ def _parse_in_c(stream: IO, schema: FeatureSchema, output_column: str):
     if len(header) - 1 not in usecols:
         usecols.append(len(header) - 1)
         converters[usecols[-1]] = lambda cell: 0.0
-    # reading the open stream keeps a CR inside quotes, as csv does
+    # reading the open stream keeps a CR inside quotes, as csv does; a line of only commas and
+    # whitespace (a spreadsheet's trailing ",,,,") is dropped, as the row parser skips its blank cells
+    stream.seek(0)
+    lines, keep = itertools.tee(itertools.islice(stream, skiprows, None))
+    lines = itertools.compress(lines, map(str.lstrip, keep, itertools.repeat(" \t\r\n,")))
     try:
-        stream.seek(0)
-        values = np.loadtxt(stream, dtype=float, usecols=usecols, converters=converters, delimiter=",",
-                            comments=None, quotechar='"', skiprows=skiprows, ndmin=2)
+        values = np.loadtxt(lines, dtype=float, usecols=usecols, converters=converters, delimiter=",",
+                            comments=None, quotechar='"', ndmin=2)
     except ValueError:
         return None
     codes = values[:, 1 + n_num:1 + len(schema.features)].astype(np.int64)

@@ -17,6 +17,9 @@ Pareto frontiers are extracted.
 
 from __future__ import annotations
 
+import itertools
+import os
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -172,7 +175,7 @@ def sample_query_points(grid: SweepGrid) -> tuple[list[QueryPoint], np.ndarray]:
 
 
 @single_blas_thread
-def run_sweep(grid: SweepGrid, threads: int = 1) -> list[SweepRecord]:
+def run_sweep(grid: SweepGrid, threads: int = 1, processes: int | None = None) -> list[SweepRecord]:
     """Monte Carlo coverage/width records for both interval methods.
 
     For every (k, m, c) and every shared query point, computes the weighted
@@ -181,57 +184,58 @@ def run_sweep(grid: SweepGrid, threads: int = 1) -> list[SweepRecord]:
     grid: every bootstrap run draws from a stream keyed by
     (seed, k-index, m-index, c-index, point-index).
 
-    The (m, point) units run serially, with NumPy's and SciPy's bundled
-    OpenBLAS at one thread: the setting is process-wide for the length of the
-    call only and is restored afterwards, and an exported
-    ``OPENBLAS_NUM_THREADS`` turns it off.  On two cores a thread pool made the
-    sweep slower at either BLAS thread setting; for parallelism, split a large
-    sweep across processes by seed.  ``threads`` is kept only for callers that
-    pass ``threads=1``; any other value raises ``ValueError``.
+    The (m, point, k) units run heaviest first on ``processes`` workers
+    forked for the call (``None``: the usable CPUs, at most one per unit;
+    in-process at 1, in a daemonic process or without ``fork``), and are
+    put back together by key, so records do not depend on the count.
+    Workers inherit the dataset, warning filters, patched attributes and
+    the call's one-thread OpenBLAS pin (off if ``OPENBLAS_NUM_THREADS`` is
+    exported); their warnings are shown here, and none outlives the call.
+    Any ``threads`` but 1, or a ``processes`` below 1, raises ``ValueError``.
     """
     if threads != 1:
-        raise ValueError(f"run_sweep runs serially; threads must be 1, got {threads}")
+        raise ValueError(f"run_sweep runs one thread per process; threads must be 1, got {threads}")
+    if processes is not None and processes < 1:
+        raise ValueError(f"run_sweep needs at least one process, got processes={processes}")
     dataset = generate_dataset(grid.n, grid.seed)
     points, truths = sample_query_points(grid)
-    n_k, n_c = len(grid.k_values), len(grid.c_values)
+    n_m, n_k, n_c = len(grid.m_values), len(grid.k_values), len(grid.c_values)
 
-    def run_unit(mi: int, pj: int) -> np.ndarray:
-        """(width, covered) per k and per c, the naive interval last; NaN marks a failure."""
+    def run_unit(mi: int, pj: int, ki: int) -> np.ndarray:
+        """(width, covered) per c, the naive interval last; NaN marks a failure."""
         point, truth = points[pj], float(truths[pj])
-        out = np.full((n_k, n_c + 1, 2), np.nan)
-        for ki, k in enumerate(grid.k_values):
+        out = np.full((n_c + 1, 2), np.nan)
+        try:
+            config = ExplainConfig(degree=grid.k_values[ki], m=grid.m_values[mi], kind=GRADIENT, weighted=True,
+                                   balance=True, balance_fallback=True)
+            problem = build_problem(dataset, point, config)
+        except TYPED_ERRORS:
+            return out
+        try:
+            iv = problem.naive_interval("x1", grid.alpha)
+            out[n_c] = (iv.upper - iv.lower, iv.lower <= truth <= iv.upper)
+        except TYPED_ERRORS:
+            pass
+        for ci, c in enumerate(grid.c_values):
+            seed = _unit_seed(grid.seed, 2, ki, mi, ci, pj)
             try:
-                problem = build_problem(
-                    dataset,
-                    point,
-                    ExplainConfig(
-                        degree=k, m=grid.m_values[mi], kind=GRADIENT, weighted=True,
-                        balance=True, balance_fallback=True,
-                    ),
+                intervals, _ = bootstrap_from_problem(
+                    problem,
+                    BootstrapConfig(B=grid.B, c=c, alpha=grid.alpha, seed=seed),
                 )
-            except TYPED_ERRORS:
-                continue
-            try:
-                iv = problem.naive_interval("x1", grid.alpha)
-                out[ki, n_c] = (iv.upper - iv.lower, iv.lower <= truth <= iv.upper)
+                iv = next(i for i in intervals if i.feature == "x1")
+                out[ci] = (iv.upper - iv.lower, iv.lower <= truth <= iv.upper)
             except TYPED_ERRORS:
                 pass
-            for ci, c in enumerate(grid.c_values):
-                seed = _unit_seed(grid.seed, 2, ki, mi, ci, pj)
-                try:
-                    intervals, _ = bootstrap_from_problem(
-                        problem,
-                        BootstrapConfig(B=grid.B, c=c, alpha=grid.alpha, seed=seed),
-                    )
-                    iv = next(i for i in intervals if i.feature == "x1")
-                    out[ki, ci] = (iv.upper - iv.lower, iv.lower <= truth <= iv.upper)
-                except TYPED_ERRORS:
-                    pass
         return out
 
-    units = [run_unit(mi, pj) for mi in range(len(grid.m_values)) for pj in range(grid.p)]
+    # a unit's cost grows with k, then with m
+    keys = sorted(itertools.product(range(n_m), range(grid.p), range(n_k)),
+                  key=lambda key: (-grid.k_values[key[2]], -grid.m_values[key[0]]))
     # (m, point, k, c column, width/covered)
-    results = np.stack(units).reshape(len(grid.m_values), grid.p, n_k, n_c + 1, 2)
+    results = np.empty((n_m, grid.p, n_k, n_c + 1, 2))
+    for key, out in zip(keys, _map_units(run_unit, keys, processes)):
+        results[key] = out
     records: list[SweepRecord] = []
     for ki, k in enumerate(grid.k_values):
         for mi, m in enumerate(grid.m_values):
@@ -253,6 +257,46 @@ def run_sweep(grid: SweepGrid, threads: int = 1) -> list[SweepRecord]:
                     )
     records.sort(key=_record_sort_key)
     return records
+
+
+def _map_units(run_unit, keys: list, processes: int | None) -> list:
+    """``run_unit(*key)`` for every key, in order, on forked workers where there are several."""
+    import multiprocessing  # both imported here, so that importing sim stays cheap
+    from concurrent.futures import ProcessPoolExecutor
+
+    if processes is None:
+        processes = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    processes = min(processes, len(keys))
+    # a daemonic process, such as a multiprocessing.Pool worker, may not have children
+    if (processes == 1 or multiprocessing.current_process().daemon
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return [run_unit(*key) for key in keys]
+    # the initializer hands each forked worker the closure in memory, unpickled
+    with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_set_worker_unit, initargs=(run_unit,)) as pool:
+        outs, registry = [], globals().setdefault("__warningregistry__", {})
+        for out, caught in pool.map(_call_unit, keys):
+            # shown as an in-process run shows them: once per process under the default action
+            for message, filename, lineno in caught:
+                warnings.warn_explicit(message, None, filename, lineno, __name__, registry)
+            outs.append(out)
+        return outs
+
+
+#: The unit function of a forked worker, set by its initializer.
+_worker_unit = None
+
+
+def _set_worker_unit(run_unit) -> None:
+    global _worker_unit
+    _worker_unit = run_unit
+
+
+def _call_unit(key: tuple[int, ...]) -> tuple[np.ndarray, list]:
+    """A worker's unit and the warnings it raised, which its parent shows."""
+    with warnings.catch_warnings(record=True) as caught:
+        out = _worker_unit(*key)
+    return out, [(w.message, w.filename, w.lineno) for w in caught]
 
 
 def _record_sort_key(rec: SweepRecord):

@@ -50,7 +50,7 @@ def test_traced_runs_of_every_workload_keep_the_tracer_whole(tmp_path, monkeypat
             warnings.simplefilter("ignore", RuntimeWarning)  # m=32 < q at k=2
             sim.run_sweep(
                 sim.SweepGrid(k_values=(1, 2), m_values=(32,), c_values=(0.9,), n=200, p=1, B=10, seed=1),
-                threads=1,
+                processes=1,  # the tracer records spans only in its own process
             )
         with tracer.root("test.summarize"):
             code = cli.main([
@@ -67,3 +67,20 @@ def test_traced_runs_of_every_workload_keep_the_tracer_whole(tmp_path, monkeypat
     assert len(tracer.naive_pinv) == 3 and tracer.sweep_units == 1
     assert len(tracer.boot["B"]) == 1 + 2 + 2
     assert not hasattr(explain.build_problem, "__wrapped__")  # the originals are back
+
+
+def test_a_traced_sweep_on_forked_workers_keeps_the_tracer_whole(monkeypatch):
+    """At the default worker count the units run in children, whose spans the tracer never sees; no hook fails."""
+    grid = sim.SweepGrid(k_values=(1, 2), m_values=(32,), c_values=(0.9,), n=200, p=1, B=10, seed=1)
+    tracer = load_tracer(monkeypatch).Tracer(False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # m=32 < q at k=2
+        serial = sim.run_sweep(grid, processes=1)
+        tracer.install()
+        try:
+            with tracer.root("test.sweep"):
+                records = sim.run_sweep(grid)
+        finally:
+            tracer.uninstall()
+    assert tracer.hook_errors == 0
+    assert records == serial

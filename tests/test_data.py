@@ -288,7 +288,7 @@ PARITY_CASES = {
         True,
     ),
     "blank_lines": ("x1,tag,x2,f\n\n1,plain,2,0.5\n\n\n2,a#b,3,1\n\n", True),
-    "all_blank_cells_row": ("x1,tag,x2,f\n1,plain,2,0.5\n , ,, \n2,a#b,3,1\n", False),
+    "all_blank_cells_row": ("x1,tag,x2,f\n1,plain,2,0.5\n , ,, \n2,a#b,3,1\n", True),
     "extra_and_duplicated_columns": (
         "x1,extra,tag,x2,f,x1,f\n1,zz,plain,2,0.5,9,9\n2,,a#b,3,1,8,8,longer\n", True,
     ),
@@ -308,6 +308,20 @@ def row_parser_calls(monkeypatch):
         return parse_rows(*args)
 
     monkeypatch.setattr(data, "_parse_rows", counted)
+    return calls
+
+
+@pytest.fixture
+def loadtxt_calls(monkeypatch):
+    """Counts the calls of ``np.loadtxt`` made by the data module."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(data.np, "loadtxt", counted)
     return calls
 
 
@@ -371,11 +385,11 @@ class TestCParseParity:
         assert len(row_parser_calls) == (0 if c_parse else 1)
         assert (str(err.value), err.value.row, err.value.column) == (message, 2, "x2")
 
-    @pytest.mark.parametrize("case", ["manifest_lines", "all_blank_cells_row"])
+    @pytest.mark.parametrize("case", ["manifest_lines", "all_blank_cells_row", "underscore_numbers"])
     def test_a_byte_order_mark_is_skipped_by_either_parse(self, tmp_path, row_parser_calls, case):
         """A file that begins with a UTF-8 byte-order mark, as Excel's "CSV UTF-8" writes, loads as one without.
 
-        The row of blank cells makes the C parse decline, so the row parser
+        The underscore numbers make the C parse decline, so the row parser
         reads the file again after a ``seek(0)``, which must skip the mark too.
         """
         text, c_only = PARITY_CASES[case]
@@ -396,18 +410,23 @@ class TestCParseParity:
         for name in ("numeric", "codes", "outputs"):
             np.testing.assert_array_equal(getattr(from_path, name), getattr(from_str, name))
 
-    def test_a_mixed_file_takes_one_loadtxt_pass(self, tmp_path, monkeypatch):
-        calls = []
-        loadtxt = np.loadtxt
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return loadtxt(*args, **kwargs)
-
-        monkeypatch.setattr(data.np, "loadtxt", counted)
+    def test_a_mixed_file_takes_one_loadtxt_pass(self, tmp_path, loadtxt_calls):
         ds = load_text(tmp_path, INTERLEAVED_CSV, interleaved_schema())
-        assert len(calls) == 1
+        assert len(loadtxt_calls) == 1
         np.testing.assert_array_equal(ds.codes, [[2, 0], [0, 2], [1, 1]])
+
+    def test_rows_of_blank_cells_take_one_loadtxt_pass(self, tmp_path, loadtxt_calls, row_parser_calls):
+        """A middle row of blank cells and a spreadsheet export's trailing ``,,,,`` stay on the C parse."""
+        header, *rows = INTERLEAVED_CSV.splitlines(keepends=True)
+        text = "".join([header, rows[0], " ,\t,,, \r\n", *rows[1:], ",,,,\n"])
+        blank, plain = (load_text(tmp_path, t, interleaved_schema()) for t in (text, INTERLEAVED_CSV))
+        assert len(loadtxt_calls) == 2 and not row_parser_calls
+        for name in ("numeric", "codes", "outputs"):
+            np.testing.assert_array_equal(getattr(blank, name), getattr(plain, name))
+        # the row numbers of the dataset's checks do not count the blank rows
+        with pytest.raises(DataError, match=r"non-finite value nan \(row 2, column 'x2'\)"):
+            load_text(tmp_path, "x1,x2,f\n1,2,0\n,,\n1,nan,0\n,,\n", two_feature_schema())
+        assert len(loadtxt_calls) == 3 and not row_parser_calls
 
     def test_header_only_file_is_empty_without_warning(self, tmp_path):
         path = tmp_path / "data.csv"

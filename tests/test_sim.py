@@ -1,6 +1,8 @@
 """Ground-truth model, synthetic data, sweep harness, Pareto filtering."""
 
 import math
+import multiprocessing
+import os
 import warnings
 
 import numpy as np
@@ -160,6 +162,67 @@ class TestSweep:
     def test_threads_other_than_one_raise(self, threads):
         with pytest.raises(ValueError, match="threads must be 1"):
             run_sweep(self.small_grid(), threads=threads)
+
+    def test_records_do_not_depend_on_the_worker_count(self):
+        # 2 m x 3 points x 2 k: more units than workers
+        grid = self.small_grid(m_values=(24, 32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            serial = repr(run_sweep(grid, processes=1))
+            for processes in (2, 3, None):
+                assert repr(run_sweep(grid, processes=processes)) == serial, processes
+                assert multiprocessing.active_children() == []
+
+    def test_an_untyped_error_in_a_worker_propagates_and_leaves_no_child(self, monkeypatch):
+        def build_or_raise(dataset, point, config):
+            if config.degree == 2:
+                raise ValueError("a bug at k=2")
+            return build_problem(dataset, point, config)
+
+        monkeypatch.setattr("localexplain.sim.build_problem", build_or_raise)
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="a bug at k=2"):
+            warnings.simplefilter("ignore")
+            run_sweep(self.small_grid(), processes=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("action", ["always", "default"])
+    def test_workers_warnings_are_shown_as_in_process(self, action):
+        # at k=3, m=24 < q every problem warns that its fit is underdetermined
+        shown = []
+        for processes in (1, 2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                run_sweep(self.small_grid(k_values=(1, 3)), processes=processes)
+            shown.append([(str(w.message), w.category, w.filename, w.lineno) for w in caught])
+        assert shown[0] and shown[1] == shown[0]
+
+    def test_zero_processes_raise(self):
+        with pytest.raises(ValueError, match="at least one process, got processes=0"):
+            run_sweep(self.small_grid(), processes=0)
+
+    def test_without_fork_the_units_run_in_this_process(self, monkeypatch):
+        pids = []
+
+        def build_and_record(dataset, point, config):
+            pids.append(os.getpid())
+            return build_problem(dataset, point, config)
+
+        monkeypatch.setattr("localexplain.sim.build_problem", build_and_record)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            forked = run_sweep(self.small_grid(), processes=2)
+            assert pids == []  # the workers recorded into their own copies
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+            assert run_sweep(self.small_grid(), processes=2) == forked
+        assert pids == [os.getpid()] * 6  # 2 k x 1 m x 3 points
+
+    def test_a_pool_worker_runs_its_sweep_in_process(self):
+        # a daemonic multiprocessing.Pool worker may not fork workers of its own
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            records = pool.apply_async(run_sweep, (self.small_grid(k_values=(1,)),)).get(timeout=120)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert records == run_sweep(self.small_grid(k_values=(1,)), processes=1)
 
     def test_coverage_and_widths_are_sane(self):
         with warnings.catch_warnings():
