@@ -13,9 +13,8 @@ Every output embeds the run manifest (command, hyperparameters, input file
 digests, tool version): JSON reports carry a ``manifest`` key, and every CSV
 output, the ``--dump-scores`` replicate scores included, is written by
 ``data.write_csv`` with a leading ``# manifest: ...`` line.  Outputs are
-deterministic for a fixed seed.  ``sweep`` runs on forked worker processes
-(``--processes``, whose count its outputs do not depend on and the manifest
-does not record); the other subcommands run serially.
+deterministic for a fixed seed.  A large enough ``sweep`` runs on forked
+worker processes, one per usable CPU; the other subcommands run serially.
 
 :func:`main` runs with NumPy's and SciPy's bundled OpenBLAS at one thread
 (``_blas.single_blas_thread``): the setting is process-wide for the length of
@@ -316,7 +315,7 @@ def cmd_sweep(args) -> int:
         seed=args.seed,
     )
     baseline = read_baseline_csv(args.merge) if args.merge else []
-    records = run_sweep(grid, processes=args.processes)
+    records = run_sweep(grid)
     manifest = _manifest(
         "sweep",
         {
@@ -412,8 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", type=int, default=500, help="bootstrap replicate count")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--processes", type=int, default=None, metavar="N",
-                   help="worker processes (default: the usable CPUs); outputs do not depend on it")
     p.add_argument("--merge", default=None,
                    help="CSV of external (method,avg_width,coverage) rows to overlay")
     p.add_argument("--sweep-out", required=True, help="sweep records CSV path")

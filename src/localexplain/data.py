@@ -456,12 +456,11 @@ def _parse_in_c(stream: IO, schema: FeatureSchema, output_column: str):
     if len(header) - 1 not in usecols:
         usecols.append(len(header) - 1)
         converters[usecols[-1]] = lambda cell: 0.0
-    # reading the open stream keeps a CR inside quotes, as csv does; a line of only commas and
-    # whitespace (a spreadsheet's trailing ",,,,") is dropped, as the row parser skips its blank cells
-    stream.seek(0)
-    lines, keep = itertools.tee(itertools.islice(stream, skiprows, None))
-    lines = itertools.compress(lines, map(str.lstrip, keep, itertools.repeat(" \t\r\n,")))
+    # reading the open stream keeps a CR inside quotes, as csv does; a row of blank cells, such as a
+    # spreadsheet's trailing ",,,,", is dropped, but inside a quoted cell a line is the cell's text
     try:
+        stream.seek(0)
+        lines = _lines_with_cells(itertools.islice(stream, skiprows, None))
         values = np.loadtxt(lines, dtype=float, usecols=usecols, converters=converters, delimiter=",",
                             comments=None, quotechar='"', ndmin=2)
     except ValueError:
@@ -470,6 +469,16 @@ def _parse_in_c(stream: IO, schema: FeatureSchema, output_column: str):
     if (codes < 0).any():
         return None
     return np.ascontiguousarray(values[:, 1:1 + n_num]), codes, np.ascontiguousarray(values[:, 0])
+
+
+def _lines_with_cells(lines: Iterator[str]) -> Iterator[str]:
+    """The lines but those of only commas and whitespace outside quotes, which the row parser skips."""
+    quoted = False
+    for line in lines:
+        if quoted or line.strip(" \t\r\n,"):
+            if '"' in line:
+                quoted ^= line.count('"') % 2 == 1
+            yield line
 
 
 def _parse_rows(stream: IO, schema: FeatureSchema, output_column: str):

@@ -37,6 +37,12 @@ from .polyfit import FitError
 #: bug and propagates.
 TYPED_ERRORS = (DataError, BalanceError, FitError, ExplainError, BootstrapError)
 
+#: A default ``run_sweep`` forks workers only for a grid of at least this many
+#: bootstrap replicates (units x c values x B).  On two CPUs a pool's start-up
+#: (15-30 ms) paid from about 2500 replicates at k <= 2 and from about 200 at
+#: k = 3, 4 with m >= 128.
+POOL_MIN_REPLICATES = 1000
+
 #: Coverage query points are drawn from this interior box so neighborhoods
 #: stay two-sided near every query.
 QUERY_BOX = 4.5
@@ -49,10 +55,7 @@ _MASK64 = (1 << 64) - 1
 
 def ground_truth_value(x1, x2, a, b):
     """Evaluate S at (x1, x2, a, b); broadcasts over array inputs."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    x1, x2, a, b = (np.asarray(v, dtype=float) for v in (x1, x2, a, b))
     inner = 1.0 / (1.0 + (x1 - x2) ** 2)
     out = np.sin(a * x1) * np.cos(b * x2) * np.tan(inner)
     return float(out) if out.ndim == 0 else out
@@ -60,10 +63,7 @@ def ground_truth_value(x1, x2, a, b):
 
 def ground_truth_gradient(x1, x2, a, b):
     """Analytic (dS/dx1, dS/dx2); broadcasts over array inputs."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    x1, x2, a, b = (np.asarray(v, dtype=float) for v in (x1, x2, a, b))
     diff = x1 - x2
     u = 1.0 / (1.0 + diff**2)
     tan_u = np.tan(u)
@@ -71,9 +71,7 @@ def ground_truth_gradient(x1, x2, a, b):
     du_dx1 = -2.0 * diff * u**2  # du/dx2 = -du/dx1
     d1 = np.cos(b * x2) * (a * np.cos(a * x1) * tan_u + np.sin(a * x1) * sec2_u * du_dx1)
     d2 = np.sin(a * x1) * (-b * np.sin(b * x2) * tan_u - np.cos(b * x2) * sec2_u * du_dx1)
-    if d1.ndim == 0:
-        return float(d1), float(d2)
-    return d1, d2
+    return (float(d1), float(d2)) if d1.ndim == 0 else (d1, d2)
 
 
 def simulation_schema() -> FeatureSchema:
@@ -168,9 +166,7 @@ def sample_query_points(grid: SweepGrid) -> tuple[list[QueryPoint], np.ndarray]:
     numeric = rng.uniform(-QUERY_BOX, QUERY_BOX, size=(grid.p, 2))
     codes = rng.integers(0, 3, size=(grid.p, 2))
     points = [QueryPoint(numeric=numeric[j], codes=codes[j]) for j in range(grid.p)]
-    d1, _ = ground_truth_gradient(
-        numeric[:, 0], numeric[:, 1], codes[:, 0] + 1, codes[:, 1] + 1
-    )
+    d1, _ = ground_truth_gradient(numeric[:, 0], numeric[:, 1], codes[:, 0] + 1, codes[:, 1] + 1)
     return points, np.atleast_1d(d1)
 
 
@@ -185,9 +181,10 @@ def run_sweep(grid: SweepGrid, threads: int = 1, processes: int | None = None) -
     (seed, k-index, m-index, c-index, point-index).
 
     The (m, point, k) units run heaviest first on ``processes`` workers
-    forked for the call (``None``: the usable CPUs, at most one per unit;
-    in-process at 1, in a daemonic process or without ``fork``), and are
-    put back together by key, so records do not depend on the count.
+    forked for the call, and are put back together by key, so records do
+    not depend on the count.  ``None`` means the usable CPUs, or 1 below
+    ``POOL_MIN_REPLICATES``; at 1, in a daemonic process or without ``fork``
+    the units run in-process.
     Workers inherit the dataset, warning filters, patched attributes and
     the call's one-thread OpenBLAS pin (off if ``OPENBLAS_NUM_THREADS`` is
     exported); their warnings are shown here, and none outlives the call.
@@ -219,10 +216,8 @@ def run_sweep(grid: SweepGrid, threads: int = 1, processes: int | None = None) -
         for ci, c in enumerate(grid.c_values):
             seed = _unit_seed(grid.seed, 2, ki, mi, ci, pj)
             try:
-                intervals, _ = bootstrap_from_problem(
-                    problem,
-                    BootstrapConfig(B=grid.B, c=c, alpha=grid.alpha, seed=seed),
-                )
+                boot = BootstrapConfig(B=grid.B, c=c, alpha=grid.alpha, seed=seed)
+                intervals, _ = bootstrap_from_problem(problem, boot)
                 iv = next(i for i in intervals if i.feature == "x1")
                 out[ci] = (iv.upper - iv.lower, iv.lower <= truth <= iv.upper)
             except TYPED_ERRORS:
@@ -232,6 +227,9 @@ def run_sweep(grid: SweepGrid, threads: int = 1, processes: int | None = None) -
     # a unit's cost grows with k, then with m
     keys = sorted(itertools.product(range(n_m), range(grid.p), range(n_k)),
                   key=lambda key: (-grid.k_values[key[2]], -grid.m_values[key[0]]))
+    if processes is None:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        processes = cpus if len(keys) * n_c * grid.B >= POOL_MIN_REPLICATES else 1
     # (m, point, k, c column, width/covered)
     results = np.empty((n_m, grid.p, n_k, n_c + 1, 2))
     for key, out in zip(keys, _map_units(run_unit, keys, processes)):
@@ -243,53 +241,41 @@ def run_sweep(grid: SweepGrid, threads: int = 1, processes: int | None = None) -
                 for method, col in (("bootstrap", ci), ("naive", n_c)):
                     width, covered = results[mi, :, ki, col].T
                     ok = ~np.isnan(covered)
-                    records.append(
-                        SweepRecord(
-                            method=method,
-                            k=k,
-                            m=m,
-                            c=c,
-                            avg_width=float(np.mean(width[ok])) if ok.any() else float("nan"),
-                            coverage=int(covered[ok].sum()) / grid.p,
-                            failed_points=grid.p - int(ok.sum()),
-                            points=grid.p,
-                        )
-                    )
+                    avg_width = float(np.mean(width[ok])) if ok.any() else float("nan")
+                    records.append(SweepRecord(method=method, k=k, m=m, c=c, avg_width=avg_width,
+                                               coverage=int(covered[ok].sum()) / grid.p,
+                                               failed_points=grid.p - int(ok.sum()), points=grid.p))
     records.sort(key=_record_sort_key)
     return records
 
 
-def _map_units(run_unit, keys: list, processes: int | None) -> list:
+def _map_units(run_unit, keys: list, processes: int) -> list:
     """``run_unit(*key)`` for every key, in order, on forked workers where there are several."""
     import multiprocessing  # both imported here, so that importing sim stays cheap
     from concurrent.futures import ProcessPoolExecutor
 
-    if processes is None:
-        processes = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    global _worker_unit
     processes = min(processes, len(keys))
     # a daemonic process, such as a multiprocessing.Pool worker, may not have children
     if (processes == 1 or multiprocessing.current_process().daemon
             or "fork" not in multiprocessing.get_all_start_methods()):
         return [run_unit(*key) for key in keys]
-    # the initializer hands each forked worker the closure in memory, unpickled
-    with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_set_worker_unit, initargs=(run_unit,)) as pool:
-        outs, registry = [], globals().setdefault("__warningregistry__", {})
-        for out, caught in pool.map(_call_unit, keys):
-            # shown as an in-process run shows them: once per process under the default action
-            for message, filename, lineno in caught:
-                warnings.warn_explicit(message, None, filename, lineno, __name__, registry)
-            outs.append(out)
-        return outs
+    _worker_unit = run_unit  # forked workers inherit the closure, unpickled
+    try:
+        with ProcessPoolExecutor(processes, mp_context=multiprocessing.get_context("fork")) as pool:
+            outs, registry = [], globals().setdefault("__warningregistry__", {})
+            for out, caught in pool.map(_call_unit, keys):
+                # shown as an in-process run shows them: once per process under the default action
+                for message, filename, lineno in caught:
+                    warnings.warn_explicit(message, None, filename, lineno, __name__, registry)
+                outs.append(out)
+            return outs
+    finally:
+        _worker_unit = None
 
 
-#: The unit function of a forked worker, set by its initializer.
+#: The unit function that forked workers run, set by their parent for the call.
 _worker_unit = None
-
-
-def _set_worker_unit(run_unit) -> None:
-    global _worker_unit
-    _worker_unit = run_unit
 
 
 def _call_unit(key: tuple[int, ...]) -> tuple[np.ndarray, list]:
@@ -300,12 +286,7 @@ def _call_unit(key: tuple[int, ...]) -> tuple[np.ndarray, list]:
 
 
 def _record_sort_key(rec: SweepRecord):
-    return (
-        rec.method,
-        rec.k if rec.k is not None else -1,
-        rec.m if rec.m is not None else -1,
-        rec.c if rec.c is not None else -1.0,
-    )
+    return rec.method, *(-1 if value is None else value for value in (rec.k, rec.m, rec.c))
 
 
 def pareto_frontier(records: Sequence[SweepRecord], method: str) -> list[SweepRecord]:

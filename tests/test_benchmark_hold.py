@@ -70,7 +70,7 @@ def test_traced_runs_of_every_workload_keep_the_tracer_whole(tmp_path, monkeypat
 
 
 def test_a_traced_sweep_on_forked_workers_keeps_the_tracer_whole(monkeypatch):
-    """At the default worker count the units run in children, whose spans the tracer never sees; no hook fails."""
+    """On forked workers the units run in children, whose spans the tracer never sees; no hook fails."""
     grid = sim.SweepGrid(k_values=(1, 2), m_values=(32,), c_values=(0.9,), n=200, p=1, B=10, seed=1)
     tracer = load_tracer(monkeypatch).Tracer(False)
     with warnings.catch_warnings():
@@ -79,7 +79,7 @@ def test_a_traced_sweep_on_forked_workers_keeps_the_tracer_whole(monkeypatch):
         tracer.install()
         try:
             with tracer.root("test.sweep"):
-                records = sim.run_sweep(grid)
+                records = sim.run_sweep(grid, processes=2)
         finally:
             tracer.uninstall()
     assert tracer.hook_errors == 0

@@ -675,7 +675,7 @@ class TestCsvOutputs:
 
 class TestThreadsFlag:
     def test_defaults(self):
-        # neither summarize nor sweep takes --threads: sweep's workers are processes (--processes)
+        # neither summarize nor sweep takes --threads
         parser = build_parser()
         for argv in (
             ["summarize", "--k", "1", "--m", "45", "--data", "d.csv", "--schema", "s.json", "--queries", "q.csv"],
@@ -701,31 +701,6 @@ class TestSweepCommand:
         assert lines[0].startswith("# manifest")
         assert lines[1] == "method,k,m,c,avg_width,coverage,failed_points"
         assert len(lines) == 2 + 8  # 2 k * 1 m * 2 c * 2 methods
-
-    def test_outputs_do_not_depend_on_processes(self, tmp_path):
-        # the worker count is left out of the manifest, so the files are byte-identical
-        outputs = []
-        for processes in ("1", "2"):
-            sweep_out, frontier_out = tmp_path / f"sweep{processes}.csv", tmp_path / f"frontier{processes}.csv"
-            code = main([
-                "sweep", "--k-list", "1,2", "--m-list", "24,32", "--c-list", "0.5,0.9",
-                "--n", "300", "--p", "3", "--B", "16", "--seed", "3", "--processes", processes,
-                "--sweep-out", str(sweep_out), "--frontier-out", str(frontier_out),
-            ])
-            assert code == EXIT_OK
-            outputs.append((sweep_out.read_bytes(), frontier_out.read_bytes()))
-        assert outputs[0] == outputs[1]
-
-    def test_zero_processes_is_a_json_error(self, tmp_path, capsys):
-        sweep_out = tmp_path / "sweep.csv"
-        code = main([
-            "sweep", "--k-list", "1", "--m-list", "24", "--c-list", "0.7", "--n", "300", "--p", "1",
-            "--B", "16", "--processes", "0", "--sweep-out", str(sweep_out), "--frontier-out", str(tmp_path / "f.csv"),
-        ])
-        assert code == EXIT_ERROR
-        err = json.loads(capsys.readouterr().err)["error"]
-        assert err == {"type": "ValueError", "message": "run_sweep needs at least one process, got processes=0"}
-        assert not sweep_out.exists()
 
     def test_merge_appears_in_frontier(self, tmp_path):
         baseline = tmp_path / "baseline.csv"

@@ -267,7 +267,8 @@ def parity_schema():
             FeatureSpec(name="x1", kind="continuous"),
             FeatureSpec(
                 name="tag", kind="categorical",
-                categories=("plain", "#hash", "a#b", "with space", "q,c", 'say "hi"'), baseline="plain",
+                categories=("plain", "#hash", "a#b", "with space", "q,c", 'say "hi"', "two\n\nlines", "two\nlines"),
+                baseline="plain",
             ),
             FeatureSpec(name="x2", kind="ordinal"),
         )
@@ -289,6 +290,8 @@ PARITY_CASES = {
     ),
     "blank_lines": ("x1,tag,x2,f\n\n1,plain,2,0.5\n\n\n2,a#b,3,1\n\n", True),
     "all_blank_cells_row": ("x1,tag,x2,f\n1,plain,2,0.5\n , ,, \n2,a#b,3,1\n", True),
+    # a quoted label's blank line is the label's text; the trailing row of blank cells is not
+    "blank_line_in_quoted_label": ('x1,tag,x2,f\n1,"two\n\nlines",2,0.5\n2,"two\nlines",3,1\n,,,\n', True),
     "extra_and_duplicated_columns": (
         "x1,extra,tag,x2,f,x1,f\n1,zz,plain,2,0.5,9,9\n2,,a#b,3,1,8,8,longer\n", True,
     ),

@@ -216,10 +216,30 @@ class TestSweep:
             assert run_sweep(self.small_grid(), processes=2) == forked
         assert pids == [os.getpid()] * 6  # 2 k x 1 m x 3 points
 
+    def test_the_default_count_forks_only_from_the_replicate_cutoff(self, monkeypatch):
+        pids = []
+
+        def build_and_record(dataset, point, config):
+            pids.append(os.getpid())
+            return build_problem(dataset, point, config)
+
+        monkeypatch.setattr("localexplain.sim.build_problem", build_and_record)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        grid = self.small_grid()  # 6 units x 2 c x B=24: 288 replicates
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            monkeypatch.setattr("localexplain.sim.POOL_MIN_REPLICATES", 289)
+            serial = run_sweep(grid)
+            assert pids == [os.getpid()] * 6
+            monkeypatch.setattr("localexplain.sim.POOL_MIN_REPLICATES", 288)
+            assert run_sweep(grid) == serial
+        assert len(pids) == 6  # the workers recorded into their own copies
+        assert multiprocessing.active_children() == []
+
     def test_a_pool_worker_runs_its_sweep_in_process(self):
         # a daemonic multiprocessing.Pool worker may not fork workers of its own
         with multiprocessing.get_context("fork").Pool(1) as pool:
-            records = pool.apply_async(run_sweep, (self.small_grid(k_values=(1,)),)).get(timeout=120)
+            records = pool.apply_async(run_sweep, (self.small_grid(k_values=(1,)), 1, 2)).get(timeout=120)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert records == run_sweep(self.small_grid(k_values=(1,)), processes=1)
