@@ -55,26 +55,23 @@ BASELINE_DIFFERENCE = "baseline_difference"
 DEFAULT_DELTA_FRACTION = 0.5
 
 #: Replicates are solved from the one SVD of the neighborhood's nonzero
-#: weighted rows (by row deletion, or by the downdate of dependent rows)
-#: only when those rows have at most this condition number (over their
-#: numerical rank, for dependent rows).
-ROW_CONDITION_MAX = 1e8
-
-#: The downdate of independent rows (no more rows than live terms, full row
-#: rank) takes them up to this condition number.  By singular-value
-#: interlacing no replicate of them is worse conditioned, which keeps them 6
-#: digits clear of gelsy's float64-eps rank cutoff.  A replicate's scores
-#: then carry the rounding error of its own condition number kappa, as
-#: gelsy's do: against a long-double solve, the downdate's stayed within
-#: 6.5 eps kappa of each score's largest magnitude and gelsy's within 4.6.
-INDEPENDENT_ROW_CONDITION_MAX = 1e10
+#: weighted rows (by the downdate or by row deletion) only when their largest
+#: over r-th singular value is at most this, r their numerical rank.  By
+#: singular-value interlacing no replicate of independent rows is worse
+#: conditioned, which keeps them 6 digits clear of gelsy's float64-eps rank
+#: cutoff.  On measured neighborhoods a replicate's scores carried the
+#: rounding error of its own condition number kappa, as gelsy's do: against a
+#: long-double solve, the downdate's stayed within 6.5 eps kappa of each
+#: score's largest magnitude and gelsy's within 4.6.  One that drops a row of
+#: a near copy carries the rows' error instead, up to about 0.2 eps s_1/s_r.
+ROW_CONDITION_MAX = 1e10
 
 #: Row deletion accepts a replicate only when the smallest eigenvalue of its
 #: Gram matrix ``U_K' U_K`` (the squared smallest singular value of the kept
 #: rows of ``U``) is at least this.  With ``ROW_CONDITION_MAX`` it bounds an
-#: accepted replicate's condition number by 1e10.  This is not the normal
+#: accepted replicate's condition number by 1e12.  This is not the normal
 #: equations of the raw basis, which square the condition of ``X_K`` (up to
-#: 1e20): ``U`` is orthonormal, so the Gram matrix squares only the
+#: 1e24): ``U`` is orthonormal, so the Gram matrix squares only the
 #: condition of ``U_K``, at most 1e2 once gated, and its own is at most 1e4.
 #: The downdate of dependent rows counts a singular value of ``W_D`` whose
 #: square is at least this as a relation the dropped rows touch.
@@ -83,9 +80,8 @@ DELETION_GATE = 1e-4
 #: The downdate of dependent rows counts a singular value of ``W_D`` (the
 #: dropped rows of the left null space) at most this as a relation among the
 #: kept rows alone.  ``W`` is accurate to about eps * ``ROW_CONDITION_MAX``
-#: (2e-8); measured values were at most 1e-9 for such relations and at least
-#: 1e-6 for the others.  A value between this and ``DELETION_GATE``'s square
-#: root sends the replicate to gelsy.
+#: (2e-6), so such a relation may read higher: a value between this and
+#: ``DELETION_GATE``'s square root sends the replicate to gelsy, the safe way.
 KEPT_RELATION_MAX = 1e-6
 
 #: Upper bound on the bytes of one stack of per-replicate factors taken in a
@@ -367,16 +363,15 @@ class LocalProblem:
     def _row_svd(self) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
         """The one thin SVD ``U S V'`` of the nonzero weighted rows over the live columns.
 
-        Returns all of ``S`` and the factors ``(S_r, U_r, U_r' y, V_r', W,
+        Returns all of ``S`` and the factors ``(S_r, U_r, y, U_r' y, V_r', W,
         W' y)`` of the replicate routes, ``y`` the weighted targets of those
         rows, truncated at their numerical rank r (:attr:`row_rank`).
         ``W = U[:, r:]`` spans the relations among the rows, their left null
         space: it has columns only when N <= p (the downdate's case) and the
         rows are dependent.  The factors are None when ``S[0] / S[r-1]`` is
-        above ``INDEPENDENT_ROW_CONDITION_MAX`` for independent rows (r = N
-        <= p) or above ``ROW_CONDITION_MAX`` for the others, or when more
-        rows than live terms (row deletion's case) are dependent: no
-        replicate may then use them.
+        above ``ROW_CONDITION_MAX``: no replicate may then use them.  More
+        rows than live terms (row deletion's case) are taken at r = p, so
+        dependent ones are never factored.
         Taken at most once per problem, and only when the point fit, the row
         condition or some replicate's route (:meth:`solve_rows`) asks for it.
         Tall rows are factored as ``Q R`` and ``U`` is ``Q`` times the ``U``
@@ -392,12 +387,11 @@ class LocalProblem:
         else:
             u, s, vt = np.linalg.svd(rows, full_matrices=False)
             rank = _numerical_rank(s, *rows.shape)
-        independent = rank == rows.shape[0]
-        if not _condition(s, rank) <= (INDEPENDENT_ROW_CONDITION_MAX if independent else ROW_CONDITION_MAX):
+        if not _condition(s, rank) <= ROW_CONDITION_MAX:
             return s, None
         y = self.yw[self.nonzero_rows]
         u, null = u[:, :rank], u[:, rank:]
-        return s, (s[:rank], u, y @ u, vt[:rank], null, y @ null)
+        return s, (s[:rank], u, y, y @ u, vt[:rank], null, y @ null)
 
     @property
     def row_condition(self) -> float:
@@ -435,14 +429,12 @@ class LocalProblem:
           a time (stacking them would hold B copies of the design matrix).
 
         Both factorization routes need the rows' largest over r-th singular
-        value to be at most ``ROW_CONDITION_MAX`` (1e8), or
-        ``INDEPENDENT_ROW_CONDITION_MAX`` (1e10) for the downdate of
-        independent rows, and deletion needs r = p; the route is chosen from
-        N, p, m' and d before the SVD of :attr:`_row_svd` is taken.  Where a
-        factorization route and gelsy give a subset the same rank, its
-        scores agree to 1e-7 of each score's largest magnitude, or, for a
-        subset of condition number kappa above 1e8, both lie within
-        10 eps kappa of the exact fit's.
+        value to be at most ``ROW_CONDITION_MAX`` (1e10), and deletion needs
+        r = p; the route is chosen from N, p, m' and d before the SVD of
+        :attr:`_row_svd` is taken.  Where a factorization route and gelsy
+        give a subset the same rank, its scores agree to 1e-7 of each
+        score's largest magnitude, or, for a subset of condition number
+        kappa above 1e8, both lie within 10 eps kappa of the exact fit's.
         """
         live = self.live_columns
         n_rows, n_live = self.nonzero_rows.size, live.size
@@ -516,8 +508,7 @@ class LocalProblem:
         takes both as empty stacks.  Returns the mask of solved subsets, the
         fits (zero for the others) and the ranks.
         """
-        _, (s, u, uty, vt, null, nty) = self._row_svd
-        y = self.yw[self.nonzero_rows]
+        _, (s, u, y, uty, vt, null, nty) = self._row_svd
         z = uty / s
         scaled, inverse = u * s, u / s
         n_rows, n_null = null.shape
@@ -584,8 +575,7 @@ class LocalProblem:
         for ``G``).  Returns what :meth:`_downdate` does: the mask of accepted
         subsets, the fits (zero for the others) and the ranks, p for each.
         """
-        _, (s, u, uty, vt, _, _) = self._row_svd
-        y = self.yw[self.nonzero_rows]
+        _, (s, u, y, uty, vt, _, _) = self._row_svd
         n_rows, n_live = u.shape
         w = np.zeros((drop_counts.size, n_live))
         solved = np.ones(drop_counts.size, dtype=bool)

@@ -330,14 +330,23 @@ def read_baseline_csv(path: str) -> list[SweepRecord]:
     """Externally produced (method, avg_width, coverage) rows for overlay plots.
 
     Read by ``read_csv_rows``, as every input table is; optional ``k``, ``m``
-    and ``c`` columns fill in the parameter set.
+    and ``c`` columns fill in the parameter set.  A cell that does not cast,
+    or is not finite, is a ``DataError`` that names its row and column.
     """
     records = []
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         columns, rows = read_csv_rows(fh, ("method", "avg_width", "coverage"), "baseline CSV")
-        for _, row in rows:
+        for row_no, row in rows:
             cell = {name: row[idx] for name, idx in columns.items()}
-            k, m, c = (cast(cell[key]) if cell.get(key) else None
-                       for key, cast in (("k", int), ("m", int), ("c", float)))
-            records.append(SweepRecord(cell["method"], k, m, c, float(cell["avg_width"]), float(cell["coverage"])))
+            values = []
+            for key, cast in (("k", int), ("m", int), ("c", float), ("avg_width", float), ("coverage", float)):
+                try:
+                    value = cast(cell[key]) if cell.get(key) or key in ("avg_width", "coverage") else None
+                except ValueError:
+                    value = np.nan  # reported below, as a non-finite cell is
+                if value is not None and not np.isfinite(value):
+                    expected = "an integer" if cast is int else "a finite number"
+                    raise DataError(f"{cell[key]!r} is not {expected}", row=row_no, column=key)
+                values.append(value)
+            records.append(SweepRecord(cell["method"], *values))
     return records

@@ -733,6 +733,24 @@ class TestSweepCommand:
         assert "row 2" in err["message"]
         assert not sweep_out.exists()
 
+    @pytest.mark.parametrize("row, column", [
+        ("bayes,abc,0.7,2", "avg_width"),
+        ("bayes,0.4,0.7,1.5", "k"),
+        ("bayes,0.4,nan,2", "coverage"),  # NaN is never dominated, so it would join the frontier
+    ])
+    def test_merge_bad_cell_is_a_json_error(self, tmp_path, capsys, row, column):
+        baseline = tmp_path / "baseline.csv"
+        baseline.write_text(f"method,avg_width,coverage,k\nexternal,0.001,0.99,1\n{row}\n")
+        code = main([
+            "sweep", "--k-list", "1", "--m-list", "24", "--c-list", "0.7",
+            "--n", "300", "--p", "1", "--B", "16", "--seed", "3", "--merge", str(baseline),
+            "--sweep-out", str(tmp_path / "sweep.csv"), "--frontier-out", str(tmp_path / "frontier.csv"),
+        ])
+        assert code == EXIT_ERROR
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "DataError"
+        assert f"(row 2, column {column!r})" in err["message"]
+
     def test_invalid_parameter_sets_exit_partial(self, tmp_path, capsys):
         # at m=5 every point fails both methods: those two sets are invalid and left off the frontier
         frontier_out = tmp_path / "frontier.csv"

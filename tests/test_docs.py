@@ -100,8 +100,8 @@ def test_every_diagnostics_key_is_documented(tmp_path):
 #: README's statements of the solver thresholds, each value a capture group,
 #: with the ``explain`` constant each group must equal (sizes given in KiB).
 SOLVER_THRESHOLDS = [
-    (r"s₁/s_r at most (\S+), or at most (\S+) when the rows are independent",
-     ["ROW_CONDITION_MAX", "INDEPENDENT_ROW_CONDITION_MAX"]),
+    (r"`downdate` \(N ≤ p, and s₁/s_r at most (\S+)\).*? `W` is accurate to about eps·(\S+) ≈",
+     ["ROW_CONDITION_MAX", "ROW_CONDITION_MAX"]),
     (r"with σ² ≥ (\S+) the dropped rows touch it", ["DELETION_GATE"]),
     (r"with σ ≤ (\S+) it lies among the kept rows alone", ["KEPT_RELATION_MAX"]),
     (r"stacked in chunks of at most (\d+) KiB, split by k′", ["_CHUNK_BYTES"]),
@@ -109,6 +109,11 @@ SOLVER_THRESHOLDS = [
     (r"chunks of at most (\d+) KiB, or (\d+) KiB for the Gram form", ["_CHUNK_BYTES", "_GRAM_CHUNK_BYTES"]),
     (r"kept rows of `U` is at least (\S+), which", ["DELETION_GATE"]),
 ]
+
+
+def test_every_solver_threshold_is_checked_against_readme():
+    thresholds = {name for name in vars(explain) if re.fullmatch(r"\w+_(MAX|GATE|BYTES)", name)}
+    assert thresholds == {name for _, names in SOLVER_THRESHOLDS for name in names}
 
 
 @pytest.mark.parametrize("pattern, constants", SOLVER_THRESHOLDS, ids=[" ".join(c) for _, c in SOLVER_THRESHOLDS])

@@ -7,6 +7,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localexplain import sim
 from localexplain.bootstrap import BootstrapConfig, bootstrap_from_problem, replicate_indices
@@ -18,6 +20,7 @@ from localexplain.explain import (
     ROUTES,
     ExplainConfig,
     ExplainError,
+    _condition,
     _positive_definite,
     build_problem,
 )
@@ -66,29 +69,31 @@ def mixed_dataset(rng, n=90):
     return QueryDataset(schema, x, codes, y)
 
 
-def three_copies_dataset():
-    """``generate_dataset(2000, 0)`` plus three exact copies of row 1, which join its neighborhood at distance 0."""
-    ds = sim.generate_dataset(2000, 0)
-    copies = [1, 1, 1]
+def with_copies(ds, row, copies, shift=None):
+    """``ds`` plus ``copies`` exact copies of ``row`` and, given ``shift``, one more with ``x1`` moved by it.
+
+    The copies join the row's neighborhood at distance 0 (or ``shift``).
+    """
+    picks = [row] * (copies + (shift is not None))
+    numeric = ds.numeric[picks].copy()
+    if shift is not None:
+        numeric[-1, 0] += shift
     return QueryDataset(
         ds.schema,
-        np.vstack([ds.numeric, ds.numeric[copies]]),
-        np.vstack([ds.codes, ds.codes[copies]]),
-        np.concatenate([ds.outputs, ds.outputs[copies]]),
+        np.vstack([ds.numeric, numeric]),
+        np.vstack([ds.codes, ds.codes[picks]]),
+        np.concatenate([ds.outputs, ds.outputs[picks]]),
     )
+
+
+def three_copies_dataset():
+    """``generate_dataset(2000, 0)`` plus three exact copies of row 1, which join its neighborhood at distance 0."""
+    return with_copies(sim.generate_dataset(2000, 0), 1, 3)
 
 
 def near_copy_dataset(shift):
     """``generate_dataset(2000, 0)`` plus a copy of row 1 with ``x1`` moved by ``shift``, which joins its neighborhood."""
-    ds = sim.generate_dataset(2000, 0)
-    numeric = ds.numeric[[1]].copy()
-    numeric[0, 0] += shift
-    return QueryDataset(
-        ds.schema,
-        np.vstack([ds.numeric, numeric]),
-        np.vstack([ds.codes, ds.codes[[1]]]),
-        np.concatenate([ds.outputs, ds.outputs[[1]]]),
-    )
+    return with_copies(sim.generate_dataset(2000, 0), 1, 0, shift)
 
 
 def long_double_min_norm(A, y):
@@ -715,9 +720,73 @@ class TestReplicateSolve:
         exact_scores = problem.scores_from_coefficients(exact)
         assert (np.abs(scores - exact_scores) <= 1e-7 * np.abs(exact_scores).max(axis=0)).all()
 
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        row=st.integers(0, 1999),
+        k=st.integers(1, 4),
+        m=st.integers(4, 256),
+        c=st.sampled_from([0.3, 0.5, 0.7, 0.9]),
+        copies=st.integers(0, 3),
+        shift=st.none() | st.floats(-9, -4).map(lambda u: 10.0**u),
+    )
+    def test_solve_rows_meets_its_contract(self, seed, row, k, m, c, copies, shift):
+        """``solve_rows`` against the live-column gelsy loop on drawn neighborhoods, the point fit among the subsets.
+
+        Exact copies of the query row make the rows dependent, a near copy
+        ill-conditioned.  Where the two give a subset the same rank, its
+        scores agree within max(1e-7, 10 eps kappa) of each score's largest
+        magnitude, kappa the subset's own condition number.
+        """
+        ds = with_copies(sim.generate_dataset(2000, seed), row, copies, shift)
+        problem = TestReplicateDowndateGate.paper_problem(ds, row, degree=k, m=m)
+        m_prime = int(np.floor(c * problem.m))
+        batches = (np.arange(problem.m)[None, :], replicate_indices(seed, 50, problem.m, m_prime))
+        subsets = [rows for index in batches for rows in index]
+        coefficients, ranks, routes = map(np.concatenate, zip(*map(problem.solve_rows, batches)))
+        ref_coefficients, ref_ranks = map(np.concatenate, zip(*(
+            TestReplicateDowndateGate.live_column_loop(problem, index) for index in batches
+        )))
+        gelsy = routes == GELSY
+        assert coefficients[gelsy].tobytes() == ref_coefficients[gelsy].tobytes()
+        same = np.flatnonzero(ranks == ref_ranks)
+        kappa = np.ones(same.size)
+        for i, b in enumerate(same):
+            if ranks[b]:
+                sv = scipy.linalg.svdvals(problem.Xw[subsets[b]][:, problem.live_columns])
+                kappa[i] = sv[0] / sv[ranks[b] - 1]
+        scores = problem.scores_from_coefficients(coefficients[same])
+        ref_scores = problem.scores_from_coefficients(ref_coefficients[same])
+        bound = np.maximum(1e-7, 10 * np.finfo(float).eps * kappa)
+        assert (np.abs(scores - ref_scores) <= bound[:, None] * np.abs(ref_scores).max(axis=0)).all()
+
+    @pytest.mark.parametrize("seed, row", [(911, 93), (911, 885), (7, 1663)])
+    def test_dependent_rows_between_1e8_and_1e10_take_the_downdate(self, seed, row):
+        """Dependent rows whose s_1/s_r lies between 1e8 and 1e10, at the paper's k=4, m=66 with B=500.
+
+        Most replicates are downdated, each with the rank the live-column
+        gelsy loop gives it and scores within 10 eps kappa of that loop's,
+        relative to each score's largest magnitude, kappa = s_1/s_r.
+        """
+        problem = TestReplicateDowndateGate.paper_problem(sim.generate_dataset(2000, seed), row)
+        n_rows, rank = problem.nonzero_rows.size, problem.row_rank
+        assert rank < n_rows <= problem.live_columns.size
+        kappa = _condition(problem._row_svd[0], rank)
+        assert 1e8 < kappa <= 1e10
+        index = replicate_indices(row, 500, problem.m, int(np.floor(0.9 * problem.m)))
+        coefficients, ranks, routes = problem.solve_rows(index)
+        downdated = routes == DOWNDATE
+        assert set(routes.tolist()) <= {DOWNDATE, GELSY} and downdated.sum() >= 450
+        ref_coefficients, ref_ranks = TestReplicateDowndateGate.live_column_loop(problem, index)
+        assert (ranks == ref_ranks).all()
+        scores = problem.scores_from_coefficients(coefficients[downdated])
+        ref_scores = problem.scores_from_coefficients(ref_coefficients[downdated])
+        bound = 10 * np.finfo(float).eps * kappa
+        assert (np.abs(scores - ref_scores) <= bound * np.abs(ref_scores).max(axis=0)).all()
+
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="the oracle needs an extended-precision long double")
     @pytest.mark.parametrize("seed, row", [
-        (0, 13),  # condition 1.03e8, just above the gate of dependent rows and of row deletion
+        (0, 13),  # condition 1.03e8
         (2, 1800),
         (7, 1181),  # condition 6.1e9
     ])
@@ -904,18 +973,37 @@ class TestReplicateDowndateGate:
         ref_scores = problem.scores_from_coefficients(ref_coefficients)
         assert (np.abs(scores - ref_scores) <= 1e-7 * np.abs(ref_scores).max(axis=0)).all()
 
-    def test_more_rows_than_live_terms_above_the_row_condition_gate(self):
-        # x2 = 3 x1 + 1 up to 1e-9: 80 rows over 3 columns, condition ~1e10
+    @staticmethod
+    def tall_collinear_problem(noise):
+        """x2 = 3 x1 + 1 up to ``noise``: 80 rows over 3 columns, condition about 8.4 / noise."""
         rng = np.random.default_rng(5)
         ds = linear_dataset(rng, 200, 0.5, [1.0, 0.0], noise=0.1)
         numeric = ds.numeric.copy()
-        numeric[:, 1] = 3 * numeric[:, 0] + 1 + 1e-9 * rng.standard_normal(200)
+        numeric[:, 1] = 3 * numeric[:, 0] + 1 + noise * rng.standard_normal(200)
         ds = QueryDataset(ds.schema, numeric, ds.codes, ds.outputs)
         problem = build_problem(ds, QueryPoint.from_row(ds, 0), ExplainConfig(degree=1, m=80))
         assert problem.nonzero_rows.size > problem.live_columns.size
-        assert problem.row_condition > 1e8
+        return problem
+
+    def test_more_rows_than_live_terms_above_the_row_condition_gate(self):
+        problem = self.tall_collinear_problem(1e-10)
+        assert problem.row_condition > 1e10
         assert point_route(problem) == "gelsy"
         self.assert_gelsy_loop(problem, 2)
+
+    def test_more_rows_than_live_terms_within_the_row_condition_gate(self):
+        """Row deletion at condition 8.4e9 solves every replicate, within 10 eps kappa of gelsy."""
+        problem = self.tall_collinear_problem(1e-9)
+        assert 1e8 < problem.row_condition <= 1e10
+        index = replicate_indices(2, 200, problem.m, int(np.floor(0.9 * problem.m)))
+        coefficients, ranks, routes = problem.solve_rows(index)
+        assert (routes == DELETION).all()
+        ref_coefficients, ref_ranks = self.live_column_loop(problem, index)
+        assert (ranks == ref_ranks).all()
+        scores = problem.scores_from_coefficients(coefficients)
+        ref_scores = problem.scores_from_coefficients(ref_coefficients)
+        bound = 10 * np.finfo(float).eps * problem.row_condition
+        assert (np.abs(scores - ref_scores) <= bound * np.abs(ref_scores).max(axis=0)).all()
 
     def assert_a_subset_that_loses_a_level_takes_gelsy(self, c):
         """Deletion's gate rejects a subset that drops every row of one category; returns its drop count, m' and p."""
