@@ -31,14 +31,13 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from ._blas import single_blas_thread
-from .bootstrap import BootstrapConfig, bootstrap_from_problem
+from .bootstrap import _MASK64, BootstrapConfig, bootstrap_from_problem
 from .data import DataError, FeatureSchema, load_dataset, open_output, read_csv_rows, write_csv, write_dataset_csv
 from .explain import ExplainConfig, ExplainError, LocalProblem, build_problem
 from .neighborhood import QueryPoint
@@ -56,30 +55,12 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_PARTIAL = 3
 
-_MASK64 = (1 << 64) - 1
-
 SUMMARY_COLUMNS = (
     "feature", "mean_abs_score", "mean_interval_width", "instances_ok", "instances_failed", "low_success"
 )
 
 # the typed errors fail one summarize instance; main turns any of these into exit 1
 _CLI_ERRORS = (*TYPED_ERRORS, ValueError, OSError)
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a run byte-for-byte."""
-
-    command: str
-    parameters: dict
-    input_digests: dict
-    version: str
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    def comment_line(self) -> str:
-        return "manifest: " + json.dumps(self.as_dict(), sort_keys=True)
 
 
 def _sha256(path: str) -> str:
@@ -90,11 +71,15 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _manifest(command: str, parameters: dict, inputs: dict[str, str | None]) -> RunManifest:
+def _manifest(command: str, parameters: dict, inputs: dict[str, str | None]) -> dict:
+    """Everything needed to reproduce a run byte-for-byte."""
     digests = {name: _sha256(path) for name, path in inputs.items() if path}
-    return RunManifest(
-        command=command, parameters=parameters, input_digests=digests, version=__version__
-    )
+    return {"command": command, "parameters": parameters, "input_digests": digests, "version": __version__}
+
+
+def _comment_line(manifest: dict) -> str:
+    """The manifest as the ``# manifest: ...`` line that heads every CSV output."""
+    return "manifest: " + json.dumps(manifest, sort_keys=True)
 
 
 def _parse_deltas(pairs: list[str]) -> dict[str, float]:
@@ -224,11 +209,11 @@ def cmd_explain(args) -> int:
         {**_explain_parameters(args, deltas), "naive_ci": args.naive_ci, "query": args.query},
         {"data": args.data, "schema": args.schema},
     )
-    report["manifest"] = manifest.as_dict()
+    report["manifest"] = manifest
     with open_output(args.out) as fh:
         fh.write(json.dumps(report, indent=2) + "\n")
     if args.dump_scores:
-        write_csv(args.dump_scores, dist.names, dist.scores.tolist(), manifest.comment_line())
+        write_csv(args.dump_scores, dist.names, dist.scores.tolist(), _comment_line(manifest))
     return EXIT_OK
 
 
@@ -281,7 +266,7 @@ def cmd_summarize(args) -> int:
          float(np.mean([res[name][1] for res in successes])), ok, total - ok, int(ok < 0.8 * total)]
         for name in names
     ]
-    write_csv(args.out, SUMMARY_COLUMNS, table, manifest.comment_line())
+    write_csv(args.out, SUMMARY_COLUMNS, table, _comment_line(manifest))
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
@@ -293,7 +278,7 @@ def cmd_summarize(args) -> int:
 def cmd_simulate(args) -> int:
     dataset = generate_dataset(args.n, args.seed)
     manifest = _manifest("simulate", {"n": args.n, "seed": args.seed}, {})
-    write_dataset_csv(dataset, args.data_out, comment=manifest.comment_line())
+    write_dataset_csv(dataset, args.data_out, comment=_comment_line(manifest))
     Path(args.schema_out).write_text(dataset.schema.to_json() + "\n", encoding="utf-8")
     return EXIT_OK
 
@@ -325,12 +310,12 @@ def cmd_sweep(args) -> int:
         },
         {"merge": args.merge},
     )
-    write_sweep_csv(records, args.sweep_out, header_comment=manifest.comment_line())
+    write_sweep_csv(records, args.sweep_out, header_comment=_comment_line(manifest))
     merged = list(records) + baseline
     frontier = []
     for method in sorted({r.method for r in merged}):
         frontier.extend(pareto_frontier(merged, method))
-    write_sweep_csv(frontier, args.frontier_out, header_comment=manifest.comment_line())
+    write_sweep_csv(frontier, args.frontier_out, header_comment=_comment_line(manifest))
     invalid = sum(1 for r in records if r.invalid)
     if invalid:
         print(f"warning: {invalid} parameter set(s) invalid (>10% failed points)", file=sys.stderr)

@@ -38,13 +38,7 @@ from scipy.linalg.lapack import get_lapack_funcs
 
 from .data import OneHotLayout, QueryDataset, from_log_odds, to_log_odds
 from .neighborhood import Neighborhood, QueryPoint, compute_weights, select_neighborhood
-from .polyfit import (
-    MonomialBasis,
-    PointFit,
-    expand_basis,
-    lstsq_min_norm,
-    weighted_system,
-)
+from .polyfit import MonomialBasis, PointFit, expand_basis, lstsq_min_norm
 
 GRADIENT = "gradient"
 FUNCTION_DIFFERENCE = "function_difference"
@@ -101,26 +95,6 @@ ROUTES = ("downdate", "deletion", "gelsy")
 DOWNDATE, DELETION, GELSY = range(len(ROUTES))
 
 _POTRF = get_lapack_funcs("potrf", (np.empty((1, 1)),))
-
-
-def _deletion_pays(most_dropped: int, m_prime: int, n_live: int) -> bool:
-    """Whether row deletion should solve subsets of m' rows dropping at most ``most_dropped`` nonzero ones.
-
-    A batch whose subsets all drop fewer nonzero rows than there are live
-    terms (d < p, each a d x d Woodbury system) must keep at least p
-    members beyond the d it drops (m' - d >= p), and the largest d decides.
-    With less margin a subset often loses the support of a column, fails
-    ``DELETION_GATE`` and pays for both routes: at k=4, m=128, c=0.7 of the
-    sweep grid (m' - d = 50 against p = 79) three subsets in four did.  A
-    batch that may drop p rows or more solves those subsets as p x p Gram
-    systems, whose cost does not grow with d, and needs m' >= 1.5 p: below
-    that, a fifth to a third of the subsets failed the gate at k=1, m=32,
-    c=0.3, at k=2, m=64, c=0.5 and at k=3, m=128, c=0.5, and those batches
-    ran 1.3 to 1.5 times as long as gelsy alone.
-    """
-    if most_dropped < n_live:
-        return m_prime - most_dropped >= n_live
-    return 2 * m_prime >= 3 * n_live
 
 
 def _positive_definite(stack: np.ndarray) -> np.ndarray:
@@ -237,8 +211,10 @@ class LocalProblem:
         )
         self.X = self.basis.design_matrix(rows)
         self.y = targets
-        weights = compute_weights(self.neighborhood.distances) if config.weighted else None
-        self.Xw, self.yw = weighted_system(self.X, self.y, weights)
+        self.Xw, self.yw = self.X, self.y
+        if config.weighted:
+            sw = np.sqrt(compute_weights(self.neighborhood.distances))
+            self.Xw, self.yw = self.X * sw[:, None], self.y * sw
         nonzero = self.Xw != 0
         self.live_columns = np.flatnonzero(nonzero.any(axis=0))
         self.nonzero_rows = np.flatnonzero(nonzero.any(axis=1))
@@ -285,6 +261,7 @@ class LocalProblem:
         config = self.config
         scores: list[tuple[str, str, np.ndarray, np.ndarray]] = []
         basis_row = self.basis.basis_row
+        phi_query = None  # taken at most once, and only for a categorical feature
         for spec in self.schema.features:
             if spec.is_numeric:
                 col = self.layout.numeric_columns[spec.name]
@@ -312,7 +289,8 @@ class LocalProblem:
                         phi_cat = basis_row(cat_row)
                         scores.append((f"{spec.name}={cat}", BASELINE_DIFFERENCE, phi_cat, phi_base))
                 else:
-                    phi_query = basis_row(self.query_enc)
+                    if phi_query is None:
+                        phi_query = basis_row(self.query_enc)
                     scores.append((spec.name, BASELINE_DIFFERENCE, phi_query, phi_base))
         names, kinds, plus, minus = zip(*scores)
         return names, kinds, np.column_stack(plus), np.column_stack(minus)
@@ -422,9 +400,9 @@ class LocalProblem:
           neither clearly touch nor clearly miss, which goes to gelsy;
         * ``deletion`` (N > p): every subset, by :meth:`_delete`, when m'
           and the largest d any subset can have, min(N, m - m'), pass the
-          shape rule :func:`_deletion_pays` (m' - d >= p while d < p, else
-          m' >= 1.5 p); a subset whose kept rows fail ``DELETION_GATE``, by
-          its one Cholesky factorization, goes to gelsy;
+          shape rule 2 m' >= 2 p + min(2 d, p); a subset whose kept rows
+          fail ``DELETION_GATE``, by its one Cholesky factorization, goes to
+          gelsy;
         * ``gelsy``: every other subset, one LAPACK gelsy call each, one at
           a time (stacking them would hold B copies of the design matrix).
 
@@ -445,7 +423,10 @@ class LocalProblem:
         ranks = np.empty(n_subsets, dtype=np.int64)
         # a subset drops m - m' rows, at most N of them nonzero
         most_dropped = min(n_rows, self.m - m_prime)
-        route = DOWNDATE if n_rows <= n_live else DELETION if _deletion_pays(most_dropped, m_prime, n_live) else GELSY
+        # with less margin, a fifth to three quarters of the subsets failed DELETION_GATE
+        # on the sweep grid, and the batches paid for both routes: 1.3-1.5x gelsy's time
+        deletes = 2 * m_prime >= 2 * n_live + min(2 * most_dropped, n_live)
+        route = DOWNDATE if n_rows <= n_live else DELETION if deletes else GELSY
         if route != GELSY and self._row_svd[1] is not None:
             solve = self._downdate if route == DOWNDATE else self._delete
             solved, fits, ranks = solve(*self._dropped_rows(row_indices))
@@ -502,26 +483,25 @@ class LocalProblem:
 
         Subsets are grouped by drop count and stacked in chunks of at most
         ``_CHUNK_BYTES``; a chunk of dependent rows is split by k'.  The point
-        fit (d = 0) is ``z`` at rank r, set up front.  A subset whose dropped
-        rows all touch relations loses no direction, and one that keeps no
-        nonzero row projects onto none (the zero fit, rank 0): the same code
-        takes both as empty stacks.  Returns the mask of solved subsets, the
-        fits (zero for the others) and the ranks.
+        fit (d = 0) and a subset whose dropped rows all touch relations lose
+        no direction, and one that keeps no nonzero row projects onto none
+        (the zero fit, rank 0): the same code takes all three as empty
+        stacks.  Returns the mask of solved subsets, the fits (zero for the
+        others) and the ranks.
         """
         _, (s, u, y, uty, vt, null, nty) = self._row_svd
         z = uty / s
         scaled, inverse = u * s, u / s
         n_rows, n_null = null.shape
         out = np.zeros((drop_counts.size, s.size))
-        out[drop_counts == 0] = z  # the point fit's fast path: it drops no row
         ranks = s.size - drop_counts  # r - d, plus each group's k' below
         solved = np.ones(drop_counts.size, dtype=bool)
-        for count in np.unique(drop_counts[drop_counts > 0]):
+        for count in np.unique(drop_counts):
             subsets = np.flatnonzero(drop_counts == count)
             kept = n_rows - count
             positions = np.nonzero(dropped[subsets])[1].reshape(subsets.size, count)
             # every stack of a chunk is at most (nonzero rows, d) per subset
-            chunk = max(1, _CHUNK_BYTES // (8 * n_rows * count))
+            chunk = max(1, _CHUNK_BYTES // (8 * n_rows * max(count, 1)))
             for start in range(0, subsets.size, chunk):
                 at, pos = subsets[start:start + chunk], positions[start:start + chunk]
                 groups = [(0, slice(None))]

@@ -11,10 +11,10 @@ neighborhoods with one-hot columns are frequently rank-deficient, and the
 minimum-norm solution keeps those fits well-defined.  The effective rank and condition
 number are surfaced in the :class:`PointFit` record instead of failing the fit.
 
-A weighted fit is :func:`weighted_system` followed by :func:`lstsq_min_norm`.
-A local problem's point fit and its bootstrap replicates are all solved by
-``LocalProblem.solve_rows``, which describes when it calls
-:func:`lstsq_min_norm` and when it downdates.
+A weighted fit is :func:`lstsq_min_norm` on rows and targets scaled by the
+square roots of their weights.  A local problem's point fit and its
+bootstrap replicates are all solved by ``LocalProblem.solve_rows``, which
+describes when it calls :func:`lstsq_min_norm` and when it downdates.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ _RCOND = float(np.finfo(np.float64).eps)
 
 
 class FitError(ValueError):
-    """Raised for unusable fit inputs (bad weights, shape mismatch, bad basis spec)."""
+    """Raised for unusable fit inputs (shape mismatch, bad basis spec)."""
 
 
 @dataclass(frozen=True)
@@ -187,26 +187,4 @@ def lstsq_min_norm(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
     if info < 0:
         raise FitError(f"illegal value in argument {-info} of gelsy")
     return x[:n], int(rank)
-
-
-def weighted_system(
-    X: np.ndarray, targets: np.ndarray, weights: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Design matrix and targets scaled row-wise by sqrt-weights.
-
-    Ordinary least squares on the result minimizes
-    ``sum_i w_i (y_i - X_i . beta)^2``.  ``weights=None`` means unit
-    weights and returns the inputs unchanged.
-    """
-    if weights is None:
-        return X, targets
-    weights = np.asarray(weights, dtype=float).reshape(-1)
-    if weights.shape[0] != X.shape[0]:
-        raise FitError("weight count does not match row count")
-    if (weights < 0).any():
-        raise FitError("weights must be nonnegative")
-    if not (weights > 0).any():
-        raise FitError("all weights are zero")
-    sw = np.sqrt(weights)
-    return X * sw[:, None], targets * sw
 

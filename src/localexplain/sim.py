@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._blas import single_blas_thread
-from .bootstrap import BootstrapConfig, BootstrapError, bootstrap_from_problem
+from .bootstrap import _MASK64, BootstrapConfig, BootstrapError, bootstrap_from_problem
 from .data import DataError, FeatureSchema, FeatureSpec, QueryDataset, read_csv_rows, write_csv
 from .explain import GRADIENT, ExplainConfig, ExplainError, build_problem
 from .neighborhood import BalanceError, QueryPoint
@@ -49,8 +49,6 @@ QUERY_BOX = 4.5
 
 #: Parameter sets with more than this fraction of failed points are invalid.
 MAX_FAILED_POINT_FRACTION = 0.1
-
-_MASK64 = (1 << 64) - 1
 
 
 def ground_truth_value(x1, x2, a, b):

@@ -1,6 +1,7 @@
-"""The documented API: the README quickstart runs, its CLI examples and flags parse, every export resolves."""
+"""The documented API: the README quickstart runs, its CLI examples and flags parse, every export resolves, no private helper is orphaned."""
 
 import argparse
+import ast
 import json
 import re
 import shlex
@@ -14,6 +15,7 @@ from localexplain import explain
 from localexplain.cli import EXIT_OK, build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(localexplain.__file__).resolve().parent
 
 
 def quickstart_source() -> str:
@@ -124,3 +126,39 @@ def test_readme_solver_thresholds_match_the_code(pattern, constants):
     for value, name in zip(found.groups(), constants):
         documented = 1024 * int(value) if name.endswith("_BYTES") else float(value)
         assert documented == getattr(explain, name), f"README gives {name} as {value}"
+
+
+def private_definitions(tree: ast.Module):
+    """The module-level ``_name`` definitions of a module, as (name, defining node) pairs."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def loads(node: ast.AST, name: str) -> int:
+    """How often ``node`` reads ``name``, as a bare name or as an attribute."""
+    return sum(
+        isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)
+        or isinstance(n, ast.Attribute) and n.attr == name
+        for n in ast.walk(node)
+    )
+
+
+def test_every_private_module_name_is_used():
+    """A module-level private name of the package that no code outside its own definition reads is dead code."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    defined = [(module, name, node) for module, tree in trees.items() for name, node in private_definitions(tree)]
+    assert len(defined) > 20
+    unused = [
+        f"{module}: {name}" for module, name, node in defined
+        if sum(loads(tree, name) for tree in trees.values()) == loads(node, name)
+    ]
+    assert unused == []

@@ -1027,6 +1027,44 @@ class TestReplicateDowndateGate:
         assert ranks[0] == ref_ranks[0]
         return problem.nonzero_rows.size - np.isin(problem.nonzero_rows, kept).sum(), m_prime, n_live
 
+    def test_a_batch_inside_the_band_the_one_shape_rule_admits_takes_deletion(self):
+        """k=2, m=60: subsets drop up to d = p - 1 = 21 nonzero rows and keep m' = 39, in p/2 <= d < p, 1.5 p <= m' < p + d.
+
+        The shape rule 2 m' >= 2 p + min(2 d, p) admits the batch, where
+        m' - d >= p would not; row deletion meets ``solve_rows``' contract.
+        """
+        problem = self.paper_problem(sim.generate_dataset(2000, 0), 1, degree=2, m=60)
+        n_rows, n_live = problem.nonzero_rows.size, problem.live_columns.size
+        m_prime = problem.m - (n_live - 1)
+        most_dropped = min(n_rows, problem.m - m_prime)
+        assert n_rows > n_live and n_live / 2 <= most_dropped < n_live and 1.5 * n_live <= m_prime < n_live + most_dropped
+        index = replicate_indices(1, 200, problem.m, m_prime)
+        coefficients, ranks, routes = problem.solve_rows(index)
+        assert set(routes.tolist()) <= {DELETION, GELSY} and (routes == DELETION).sum() >= 180
+        assert (ranks[routes == DELETION] == n_live).all()
+        ref_coefficients, ref_ranks = self.live_column_loop(problem, index)
+        gelsy = routes == GELSY
+        assert coefficients[gelsy].tobytes() == ref_coefficients[gelsy].tobytes()
+        assert (ranks == ref_ranks).all()
+        scores = problem.scores_from_coefficients(coefficients)
+        ref_scores = problem.scores_from_coefficients(ref_coefficients)
+        assert (np.abs(scores - ref_scores) <= 1e-7 * np.abs(ref_scores).max(axis=0)).all()
+
+    @pytest.mark.parametrize("make_dataset, relations", [
+        (lambda: sim.generate_dataset(2000, 0), 0),
+        (three_copies_dataset, 3),
+    ], ids=["independent", "dependent"])
+    def test_downdate_point_fit_is_the_interpolant_of_the_row_svd(self, make_dataset, relations):
+        """The point fit takes the downdate's general loop, as an empty stack of dropped rows: ``z V_r'`` bit for bit."""
+        problem = self.paper_problem(make_dataset(), 1)
+        _, (s, _, _, uty, vt, null, _) = problem._row_svd
+        assert null.shape[1] == relations and problem.nonzero_rows.size <= problem.live_columns.size
+        assert point_route(problem) == "downdate"
+        fit = problem.point_fit
+        assert fit.effective_rank == s.size
+        assert fit.coefficients[problem.live_columns].tobytes() == (uty / s @ vt).tobytes()
+        assert (np.delete(fit.coefficients, problem.live_columns) == 0).all()
+
     def test_a_subset_that_loses_a_level_takes_gelsy(self):
         drops, m_prime, n_live = self.assert_a_subset_that_loses_a_level_takes_gelsy(0.9)
         assert drops < n_live <= m_prime - drops  # the Woodbury form's batch
