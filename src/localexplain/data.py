@@ -281,9 +281,11 @@ class QueryDataset:
     threads; no method mutates them, and the one cached value,
     :attr:`standardized`, is computed on first use.
 
-    The constructor is the one place where values are checked (finite
-    numbers, valid codes, probabilities in [0, 1]); each error names the
-    offending value, its 1-based row and, where there is one, the feature.
+    The constructor checks every value, by :func:`_check_rows` for the
+    numeric block and codes (the routine that checks a query point against
+    the schema) and here for the outputs (a 1-D array, finite, and in
+    [0, 1] for probabilities); each error names the offending value, its
+    1-based row and, where there is one, the feature.
     """
 
     def __init__(
@@ -294,28 +296,15 @@ class QueryDataset:
         outputs: np.ndarray,
     ):
         outputs = np.asarray(outputs, dtype=float)
+        if outputs.ndim != 1:
+            raise DataError(f"outputs have shape {outputs.shape}, expected (n,): one value per row")
         n = outputs.shape[0]
         if n == 0:
             raise DataError("dataset is empty")
-        n_num = len(schema.numeric_features)
-        n_cat = len(schema.categorical_features)
-        numeric = np.asarray(numeric, dtype=float).reshape(n, n_num) if n_num else np.zeros((n, 0))
-        codes = (
-            np.asarray(codes, dtype=np.int64).reshape(n, n_cat) if n_cat else np.zeros((n, 0), dtype=np.int64)
-        )
-        finite = np.isfinite(numeric)
-        if not finite.all():
-            r, j = np.argwhere(~finite)[0]
-            name = schema.numeric_features[j].name
-            raise DataError(f"non-finite value {float(numeric[r, j])!r}", row=int(r) + 1, column=name)
+        numeric, codes = _check_rows(schema, numeric, codes, n)
         if not np.isfinite(outputs).all():
             r = int(np.argmax(~np.isfinite(outputs)))
             raise DataError(f"non-finite output {float(outputs[r])!r}", row=r + 1)
-        for j, spec in enumerate(schema.categorical_features):
-            invalid = (codes[:, j] < 0) | (codes[:, j] >= len(spec.categories))
-            if invalid.any():
-                r = int(np.argmax(invalid))
-                raise DataError(f"invalid category code {int(codes[r, j])}", row=r + 1, column=spec.name)
         if schema.output_kind == "probability":
             outside = (outputs < 0) | (outputs > 1)
             if outside.any():
@@ -323,9 +312,8 @@ class QueryDataset:
                 raise DataError(f"probability output {float(outputs[r])!r} outside [0, 1]", row=r + 1)
         schema = _resolve_baselines(schema, codes)
         self.schema = schema
-        self.numeric = numeric
-        self.codes = codes
-        self.outputs = outputs
+        # views, so that the caller's own arrays stay writable
+        self.numeric, self.codes, self.outputs = numeric.view(), codes.view(), outputs.view()
         for arr in (self.numeric, self.codes, self.outputs):
             arr.setflags(write=False)
 
@@ -347,6 +335,34 @@ class QueryDataset:
     def standardized(self) -> tuple[QueryDataset, StandardizationStats]:
         """:func:`standardize` of this dataset, computed once per dataset."""
         return standardize(self)
+
+
+def _check_rows(schema: FeatureSchema, numeric, codes, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The numeric block and category codes of ``n`` rows, or of one point when ``n`` is None, as float and int64 arrays.
+
+    A block not shaped (n, features of its kind), or (features,) for a point, a non-finite value or a code that is
+    not the index of one of its feature's categories is a ``DataError`` naming the feature and, for rows, the row.
+    """
+    lead = () if n is None else (n,)
+    numeric, codes = np.asarray(numeric, dtype=float), np.asarray(codes)
+    for what, block, specs in (("numeric", numeric, schema.numeric_features),
+                               ("category code", codes, schema.categorical_features)):
+        if block.shape != (*lead, len(specs)):
+            names = tuple(spec.name for spec in specs)
+            raise DataError(f"{what} block has shape {block.shape}, expected {(*lead, len(specs))} for {names}")
+    rows, code_rows = np.atleast_2d(numeric), np.atleast_2d(codes)
+    finite = np.isfinite(rows)
+    if not finite.all():
+        r, j = np.argwhere(~finite)[0]
+        message = f"non-finite value {float(rows[r, j])!r}"
+        raise DataError(message, row=None if n is None else int(r) + 1, column=schema.numeric_features[j].name)
+    for j, spec in enumerate(schema.categorical_features):
+        column = code_rows[:, j]
+        invalid = ~((column >= 0) & (column < len(spec.categories)) & (column == np.round(column)))
+        if invalid.any():
+            r = int(np.argmax(invalid))
+            raise DataError(f"invalid category code {column[r].item()}", row=None if n is None else r + 1, column=spec.name)
+    return numeric, codes.astype(np.int64, copy=False)
 
 
 def _resolve_baselines(schema: FeatureSchema, codes: np.ndarray) -> FeatureSchema:

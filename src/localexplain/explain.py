@@ -36,7 +36,7 @@ from typing import Mapping
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .data import OneHotLayout, QueryDataset, from_log_odds, to_log_odds
+from .data import OneHotLayout, QueryDataset, _check_rows, from_log_odds, to_log_odds
 from .neighborhood import Neighborhood, QueryPoint, compute_weights, select_neighborhood
 from .polyfit import MonomialBasis, PointFit, expand_basis, lstsq_min_norm
 
@@ -72,21 +72,18 @@ ROW_CONDITION_MAX = 1e10
 DELETION_GATE = 1e-4
 
 #: The downdate of dependent rows counts a singular value of ``W_D`` (the
-#: dropped rows of the left null space) at most this as a relation among the
-#: kept rows alone.  ``W`` is accurate to about eps * ``ROW_CONDITION_MAX``
-#: (2e-6), so such a relation may read higher: a value between this and
-#: ``DELETION_GATE``'s square root sends the replicate to gelsy, the safe way.
-KEPT_RELATION_MAX = 1e-6
+#: dropped rows of the left null space) at most this, the accuracy of ``W``,
+#: as a relation among the kept rows alone; one between this and
+#: ``DELETION_GATE``'s square root sends the replicate to gelsy.
+KEPT_RELATION_MAX = np.finfo(float).eps * ROW_CONDITION_MAX
 
 #: Upper bound on the bytes of one stack of per-replicate factors taken in a
 #: single batched LAPACK call.  Larger stacks raise peak memory (the calls
 #: hold several copies) and run no faster.
 _CHUNK_BYTES = 1 << 17
 
-#: The same bound for row deletion's p x p Gram systems, counted as p by
-#: max(p, rows of the side they are formed from) per replicate.  At p = 79
-#: and 128 rows a side, ``_CHUNK_BYTES`` would stack one replicate at a
-#: time and this stacks six; on the sweep grid larger stacks ran no faster.
+#: The same bound for row deletion's Gram systems, counted as p by the kept
+#: rows per replicate: at p = 79 and 128 kept rows it stacks six.
 _GRAM_CHUNK_BYTES = 1 << 19
 
 #: How ``LocalProblem.solve_rows`` solved each replicate, by the codes it
@@ -192,6 +189,7 @@ class LocalProblem:
                 "gradient scores are unavailable with probability outputs; "
                 "use function_difference"
             )
+        _check_rows(schema, query.numeric, query.codes)  # the query point, by the dataset rows' checks
         std_dataset, stats = dataset.standardized
         self.stats = stats
         self.query = query
@@ -406,13 +404,14 @@ class LocalProblem:
         * ``gelsy``: every other subset, one LAPACK gelsy call each, one at
           a time (stacking them would hold B copies of the design matrix).
 
-        Both factorization routes need the rows' largest over r-th singular
-        value to be at most ``ROW_CONDITION_MAX`` (1e10), and deletion needs
-        r = p; the route is chosen from N, p, m' and d before the SVD of
-        :attr:`_row_svd` is taken.  Where a factorization route and gelsy
-        give a subset the same rank, its scores agree to 1e-7 of each
-        score's largest magnitude, or, for a subset of condition number
-        kappa above 1e8, both lie within 10 eps kappa of the exact fit's.
+        Both factorization routes need the rows' s_1/s_r, their largest over
+        r-th singular value, to be at most ``ROW_CONDITION_MAX`` (1e10), and
+        deletion needs r = p; the route is chosen from N, p, m' and d before
+        the SVD of :attr:`_row_svd` is taken.  Where a factorization route
+        and gelsy give a subset the same rank, its scores agree within the
+        largest of 1e-7, 10 eps kappa (kappa the subset's own condition
+        number) and 0.3 eps s_1/s_r of each score's largest magnitude: a
+        subset far better conditioned than its rows carries their SVD's error.
         """
         live = self.live_columns
         n_rows, n_live = self.nonzero_rows.size, live.size
@@ -455,13 +454,11 @@ class LocalProblem:
         its fit is found on r-vectors like ``z``.
 
         Independent rows (``W`` empty): ``beta`` interpolates them, and the
-        subset's fit is ``beta`` projected onto the row space of the rows it
-        keeps.  The projection is taken onto the smaller side: onto the kept
-        rows themselves (rows of ``U S``) when a subset keeps fewer than it
-        drops, else off the pseudo-inverse columns of the dropped rows (rows
-        of ``U / S``), which span what the kept rows lose.  It goes through a
-        batched QR of those rows, never their Gram matrix, which would square
-        their condition.  The rank is N - d.
+        subset's fit is ``beta`` less its projection onto the pseudo-inverse
+        columns of the dropped rows (rows of ``U / S``), which span what the
+        kept rows lose.  The projection goes through a batched QR of those
+        rows, never their Gram matrix, which would square their condition.
+        The rank is N - d.
 
         Dependent rows (``W`` has k = N - r columns): the SVD
         ``W_D = L diag(sv) R'`` of the dropped rows of ``W`` sorts the
@@ -476,29 +473,24 @@ class LocalProblem:
         anyway, that interpolant is
         ``z - U_D' L_k' (L_k'' y_D + R_k'' t / sv_k') / S``.  The fit is this
         less its projection onto ``U_D' Z / S`` (``Z = L[:, k':]``), the
-        directions the kept rows lose; when no relation lies among the kept
-        rows alone and a subset keeps fewer than it drops, it is the
-        projection onto the kept rows of ``U S`` instead.  The rank is
-        N - d - (k - k'); with k = 0 this is the independent case.
+        directions the kept rows lose.  The rank is N - d - (k - k'); with
+        k = 0 this is the independent case.
 
         Subsets are grouped by drop count and stacked in chunks of at most
         ``_CHUNK_BYTES``; a chunk of dependent rows is split by k'.  The point
         fit (d = 0) and a subset whose dropped rows all touch relations lose
-        no direction, and one that keeps no nonzero row projects onto none
-        (the zero fit, rank 0): the same code takes all three as empty
-        stacks.  Returns the mask of solved subsets, the fits (zero for the
-        others) and the ranks.
+        no direction: the same code takes them as empty stacks.  Returns the
+        mask of solved subsets, the fits (zero for the others) and the ranks.
         """
         _, (s, u, y, uty, vt, null, nty) = self._row_svd
         z = uty / s
-        scaled, inverse = u * s, u / s
+        inverse = u / s
         n_rows, n_null = null.shape
         out = np.zeros((drop_counts.size, s.size))
         ranks = s.size - drop_counts  # r - d, plus each group's k' below
         solved = np.ones(drop_counts.size, dtype=bool)
         for count in np.unique(drop_counts):
             subsets = np.flatnonzero(drop_counts == count)
-            kept = n_rows - count
             positions = np.nonzero(dropped[subsets])[1].reshape(subsets.size, count)
             # every stack of a chunk is at most (nonzero rows, d) per subset
             chunk = max(1, _CHUNK_BYTES // (8 * n_rows * max(count, 1)))
@@ -522,14 +514,10 @@ class LocalProblem:
                         along = (y_d[:, None, :] @ left)[:, 0]
                         along += (rights[group, :span] @ t[:, :, None])[:, :, 0] / sv[group, :span]
                         w = z - (((left @ along[:, :, None])[:, :, 0])[:, None, :] @ inverse[dropped_at])[:, 0]
-                    if span == n_null and kept < count:
-                        kept_at = np.nonzero(~dropped[members])[1].reshape(members.size, kept)
-                        out[members] = _project(np.linalg.qr(scaled[kept_at].transpose(0, 2, 1)).Q, w)
-                    else:
-                        lost = inverse[dropped_at].transpose(0, 2, 1)  # (g, r, d)
-                        if n_null:
-                            lost = lost @ lefts[group, :, span:]
-                        out[members] = w - _project(np.linalg.qr(lost).Q, w)
+                    lost = inverse[dropped_at].transpose(0, 2, 1)  # (g, r, d)
+                    if n_null:
+                        lost = lost @ lefts[group, :, span:]
+                    out[members] = w - _project(np.linalg.qr(lost).Q, w)
                     ranks[members] += span
         return solved, out @ vt, ranks
 
@@ -538,21 +526,19 @@ class LocalProblem:
 
         With ``U S V'`` of the N nonzero rows (N > p, full column rank), a
         subset that keeps rows K and drops D solves ``G w = r`` with the
-        p x p Gram matrix ``G = U_K' U_K = I - U_D' U_D`` and
-        ``r = U' y - U_D' y_D = U_K' y_K``, and fits ``beta = V (w / S)``.
-        A subset that drops d < p rows takes Woodbury,
-        ``w = r + U_D' M^-1 U_D r`` with the d x d matrix ``M = I - U_D U_D'``,
-        which has the same smallest eigenvalue as ``G``.
-        One that drops d >= p solves ``G`` itself, formed from the side with
-        fewer rows: ``U_K' U_K`` from the kept rows or ``I - U_D' U_D`` from
-        the dropped ones.  A subset is accepted when that eigenvalue, the
-        squared smallest singular value of ``U_K``, is at least
-        ``DELETION_GATE``: one Cholesky factorization of ``M`` or ``G`` less
-        that times ``I`` per subset decides, whether it passes or not.  The
-        others are left unsolved, for gelsy.  The point fit (d = 0) is a 0 x 0
-        Woodbury system, so ``w = U' y``.  Subsets are grouped by drop count
-        and stacked in chunks of at most ``_CHUNK_BYTES`` (``_GRAM_CHUNK_BYTES``
-        for ``G``).  Returns what :meth:`_downdate` does: the mask of accepted
+        p x p Gram matrix ``G = U_K' U_K`` and ``r = U_K' y_K``, and fits
+        ``beta = V (w / S)``.  One that drops d >= p rows forms ``G`` from
+        its kept rows.  One that drops d < p forms ``r`` as ``U' y - U_D' y_D``
+        and takes Woodbury, ``w = r + U_D' M^-1 U_D r`` with the d x d matrix
+        ``M = I - U_D U_D'``, which has the same smallest eigenvalue as ``G``;
+        the point fit (d = 0) is a 0 x 0 system, so ``w = U' y``.
+        A subset is accepted when that eigenvalue, the squared smallest
+        singular value of ``U_K``, is at least ``DELETION_GATE``: one
+        Cholesky factorization of ``M`` or ``G`` less that times ``I`` per
+        subset decides, whether it passes or not.  The others are left
+        unsolved, for gelsy.  Subsets are grouped by drop count and stacked
+        in chunks of at most ``_CHUNK_BYTES`` (``_GRAM_CHUNK_BYTES`` for
+        ``G``).  Returns what :meth:`_downdate` does: the mask of accepted
         subsets, the fits (zero for the others) and the ranks, p for each.
         """
         _, (s, u, y, uty, vt, _, _) = self._row_svd
@@ -562,26 +548,18 @@ class LocalProblem:
         for count in np.unique(drop_counts):
             subsets = np.flatnonzero(drop_counts == count)
             gram = count >= n_live
-            kept_side = gram and n_rows - count < count
-            side = n_rows - count if kept_side else count
-            if gram:
-                chunk = max(1, _GRAM_CHUNK_BYTES // (8 * n_live * max(side, n_live)))
-                eye = np.eye(n_live)
-            else:
-                chunk = max(1, _CHUNK_BYTES // (8 * n_live * max(count, 1)))
-                eye = np.eye(count)
+            side = n_rows - count if gram else count  # the rows of U a subset's stack holds
+            eye = np.eye(n_live if gram else count)
+            chunk = max(1, (_GRAM_CHUNK_BYTES if gram else _CHUNK_BYTES) // (8 * n_live * max(side, 1)))
             for start in range(0, subsets.size, chunk):
                 at = subsets[start:start + chunk]
-                pos = np.nonzero(~dropped[at] if kept_side else dropped[at])[1].reshape(at.size, side)
+                pos = np.nonzero(~dropped[at] if gram else dropped[at])[1].reshape(at.size, side)
                 u_side = u[pos]  # (chunk, side, p)
                 along = (y[pos][:, None, :] @ u_side)[:, 0]
-                r = along if kept_side else uty - along  # U_K' y_K
                 if gram:
-                    m = u_side.transpose(0, 2, 1) @ u_side
-                    if not kept_side:
-                        m = eye - m
+                    r, m = along, u_side.transpose(0, 2, 1) @ u_side
                 else:
-                    m = eye - u_side @ u_side.transpose(0, 2, 1)
+                    r, m = uty - along, eye - u_side @ u_side.transpose(0, 2, 1)
                 ok = _positive_definite(m - DELETION_GATE * eye)
                 if not ok.all():
                     solved[at[~ok]] = False

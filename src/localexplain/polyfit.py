@@ -5,16 +5,16 @@ numeric columns, including all interaction terms, in graded-lexicographic
 order.  Exponents on indicator (one-hot) columns are capped at 1 since
 b^2 = b would only duplicate columns and guarantee a singular normal matrix.
 
-Fitting goes through a rank-revealing orthogonal solve (LAPACK gelsy,
-called directly) rather than a literal (X^T X)^{-1} X^T y: small local
-neighborhoods with one-hot columns are frequently rank-deficient, and the
-minimum-norm solution keeps those fits well-defined.  The effective rank and condition
-number are surfaced in the :class:`PointFit` record instead of failing the fit.
+Every local fit is the minimum-norm least-squares solution, never a literal
+(X^T X)^{-1} X^T y: small local neighborhoods with one-hot columns are
+frequently rank-deficient, and the minimum norm keeps those fits defined; a
+:class:`PointFit` reports their rank and condition number rather than failing.
+A weighted fit solves rows and targets scaled by square-root weights.
 
-A weighted fit is :func:`lstsq_min_norm` on rows and targets scaled by the
-square roots of their weights.  A local problem's point fit and its
-bootstrap replicates are all solved by ``LocalProblem.solve_rows``, which
-describes when it calls :func:`lstsq_min_norm` and when it downdates.
+``LocalProblem.solve_rows`` solves a problem's point fit and bootstrap
+replicates, mostly from one SVD of its rows; :func:`lstsq_min_norm`, one
+direct LAPACK gelsy call, solves the subsets it leaves over and the naive
+interval's unweighted fit.
 """
 
 from __future__ import annotations

@@ -328,14 +328,17 @@ def read_baseline_csv(path: str) -> list[SweepRecord]:
     """Externally produced (method, avg_width, coverage) rows for overlay plots.
 
     Read by ``read_csv_rows``, as every input table is; optional ``k``, ``m``
-    and ``c`` columns fill in the parameter set.  A cell that does not cast,
-    or is not finite, is a ``DataError`` that names its row and column.
+    and ``c`` columns fill in the parameter set.  A blank method, or a cell
+    that does not cast or is not finite, is a ``DataError`` that names its
+    row and column.
     """
     records = []
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         columns, rows = read_csv_rows(fh, ("method", "avg_width", "coverage"), "baseline CSV")
         for row_no, row in rows:
             cell = {name: row[idx] for name, idx in columns.items()}
+            if not cell["method"]:
+                raise DataError("blank method", row=row_no, column="method")
             values = []
             for key, cast in (("k", int), ("m", int), ("c", float), ("avg_width", float), ("coverage", float)):
                 try:

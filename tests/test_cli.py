@@ -737,6 +737,7 @@ class TestSweepCommand:
         ("bayes,abc,0.7,2", "avg_width"),
         ("bayes,0.4,0.7,1.5", "k"),
         ("bayes,0.4,nan,2", "coverage"),  # NaN is never dominated, so it would join the frontier
+        (",0.1,0.9,", "method"),  # a blank method would form its own frontier group
     ])
     def test_merge_bad_cell_is_a_json_error(self, tmp_path, capsys, row, column):
         baseline = tmp_path / "baseline.csv"

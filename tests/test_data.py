@@ -589,6 +589,22 @@ class TestQueryDataset:
             QueryDataset(interleaved_schema("probability"), numeric, codes, outputs)
         assert (err.value.row, err.value.column) == (3, None)
 
+    @pytest.mark.parametrize("arrays, message", [
+        (lambda x, c, y: (x, c, y[:, None]), r"outputs have shape \(3, 1\), expected \(n,\)"),
+        (lambda x, c, y: (x.ravel(), c, y), r"numeric block has shape \(6,\), expected \(3, 2\) for \('x1', 'x2'\)"),
+        (lambda x, c, y: (x[:, :1], c, y), r"numeric block has shape \(3, 1\), expected \(3, 2\)"),
+        (lambda x, c, y: (x, c[:2], y), r"category code block has shape \(2, 2\), expected \(3, 2\) for \('color', 'size'\)"),
+    ], ids=["outputs-column", "numeric-flat", "numeric-narrow", "codes-short"])
+    def test_wrong_array_shape_names_the_expected_one(self, arrays, message):
+        with pytest.raises(DataError, match=message):
+            QueryDataset(interleaved_schema(), *arrays(*self.interleaved_arrays()))
+
+    def test_the_caller_arrays_stay_writable(self):
+        numeric, codes, outputs = self.interleaved_arrays()
+        ds = QueryDataset(interleaved_schema(), numeric, codes, outputs)
+        assert numeric.flags.writeable and codes.flags.writeable and outputs.flags.writeable
+        assert not (ds.numeric.flags.writeable or ds.codes.flags.writeable or ds.outputs.flags.writeable)
+
     def test_row_mapping_roundtrip(self, tmp_path):
         ds = load_text(tmp_path, "x1,x2,color,f\n1.5,2,c,0\n", mixed_schema())
         assert ds.row_mapping(0) == {"x1": 1.5, "x2": 2.0, "color": "c"}

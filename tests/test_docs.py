@@ -5,6 +5,7 @@ import ast
 import json
 import re
 import shlex
+import sys
 import warnings
 from pathlib import Path
 
@@ -100,12 +101,13 @@ def test_every_diagnostics_key_is_documented(tmp_path):
 
 
 #: README's statements of the solver thresholds, each value a capture group,
-#: with the ``explain`` constant each group must equal (sizes given in KiB).
+#: with the ``explain`` constant each group must equal (sizes given in KiB,
+#: and ``eps·`` standing for float64 eps times what follows it).
 SOLVER_THRESHOLDS = [
     (r"`downdate` \(N ≤ p, and s₁/s_r at most (\S+)\).*? `W` is accurate to about eps·(\S+) ≈",
      ["ROW_CONDITION_MAX", "ROW_CONDITION_MAX"]),
     (r"with σ² ≥ (\S+) the dropped rows touch it", ["DELETION_GATE"]),
-    (r"with σ ≤ (\S+) it lies among the kept rows alone", ["KEPT_RELATION_MAX"]),
+    (r"with σ ≤ (eps·\S+) it lies among the kept rows alone", ["KEPT_RELATION_MAX"]),
     (r"stacked in chunks of at most (\d+) KiB, split by k′", ["_CHUNK_BYTES"]),
     (r"`deletion` \(N > p and row condition at most (\S+)\)", ["ROW_CONDITION_MAX"]),
     (r"chunks of at most (\d+) KiB, or (\d+) KiB for the Gram form", ["_CHUNK_BYTES", "_GRAM_CHUNK_BYTES"]),
@@ -124,7 +126,8 @@ def test_readme_solver_thresholds_match_the_code(pattern, constants):
     found = re.search(pattern, text)
     assert found, f"README no longer says {pattern!r}"
     for value, name in zip(found.groups(), constants):
-        documented = 1024 * int(value) if name.endswith("_BYTES") else float(value)
+        scale = sys.float_info.epsilon if value.startswith("eps·") else 1.0
+        documented = 1024 * int(value) if name.endswith("_BYTES") else scale * float(value.removeprefix("eps·"))
         assert documented == getattr(explain, name), f"README gives {name} as {value}"
 
 

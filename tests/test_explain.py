@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from localexplain import sim
 from localexplain.bootstrap import BootstrapConfig, bootstrap_from_problem, replicate_indices
-from localexplain.data import FeatureSchema, FeatureSpec, QueryDataset, from_log_odds
+from localexplain.data import DataError, FeatureSchema, FeatureSpec, QueryDataset, from_log_odds
 from localexplain.explain import (
     DELETION,
     DOWNDATE,
@@ -483,6 +483,29 @@ class TestStandardizeOncePerDataset:
         assert calls == [ds]
 
 
+class TestQueryAgainstTheSchema:
+    """``build_problem`` checks the query point as ``QueryDataset`` checks its rows: row 0 of ``generate_dataset(300, 1)``."""
+
+    @staticmethod
+    def build(numeric=lambda x: x, codes=lambda c: c):
+        ds = sim.generate_dataset(300, 1)
+        query = QueryPoint.from_row(ds, 0)
+        query = QueryPoint(numeric(query.numeric), codes(query.codes))
+        return build_problem(ds, query, ExplainConfig(degree=1, m=60, kind="gradient"))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"codes": lambda c: np.array([-1, c[1]])}, r"invalid category code -1 \(column 'a'\)"),
+        ({"codes": lambda c: np.array([c[0], 3])}, r"invalid category code 3 \(column 'b'\)"),
+        ({"codes": lambda c: np.array([c[0] + 0.7, c[1]])}, r"invalid category code 1.7 \(column 'a'\)"),
+        ({"numeric": lambda x: np.array([np.nan, x[1]])}, r"non-finite value nan \(column 'x1'\)"),
+        ({"numeric": lambda x: np.zeros(3)}, r"numeric block has shape \(3,\), expected \(2,\) for \('x1', 'x2'\)"),
+        ({"codes": lambda c: c[:1]}, r"category code block has shape \(1,\), expected \(2,\) for \('a', 'b'\)"),
+    ], ids=["negative-code", "code-past-categories", "fractional-code", "nan", "numeric-length", "code-count"])
+    def test_a_bad_query_is_a_data_error(self, change, message):
+        with pytest.raises(DataError, match=message):
+            self.build(**change)
+
+
 class TestFailureModes:
     def test_rank_collapse_raises(self):
         schema = continuous_schema(1)
@@ -668,13 +691,46 @@ class TestReplicateSolve:
         (18, 4, 256, 0.5, {"dropped", "kept"}, 180),
     ])
     def test_gram_cells_match_the_full_basis_solve(self, row, k, m, c, sides, least):
-        """Cells whose subsets all drop at least p rows: p x p Gram systems, formed from the side with fewer rows."""
+        """Cells whose subsets all drop at least p rows: p x p Gram systems of their kept rows, fewer or more than the dropped ones."""
         problem, index, routes = self.check_against_full_basis(row, k, m, c, 200, 0, weighted=True)
         n_rows, n_live = problem.nonzero_rows.size, problem.live_columns.size
         _, drop_counts = problem._dropped_rows(index)
         assert (drop_counts >= n_live).all()
         assert {"kept" if n_rows - d < d else "dropped" for d in drop_counts.tolist()} == sides
         assert (routes == DELETION).sum() >= least
+
+    @pytest.mark.parametrize("row, k, m, c, route", [
+        (19, 4, 64, 0.3, DOWNDATE),  # 19 kept against 44-45 dropped, of 63 nonzero rows
+        (20, 2, 256, 0.9, DELETION),  # 25-26 dropped against p = 22, and 229-230 kept
+    ], ids=["downdate-4-64-0.3", "gram-2-256-0.9"])
+    def test_cells_off_the_smaller_side_meet_the_contract(self, row, k, m, c, route):
+        """The downdate of subsets that keep fewer rows than they drop, and Gram systems of more kept rows than dropped.
+
+        Against the live-column gelsy loop at the property test's bound:
+        where the two give a subset the same rank, its scores agree within
+        max(1e-7, 10 eps kappa) of each score's largest magnitude, kappa the
+        subset's own condition number.
+        """
+        problem = TestReplicateDowndateGate.paper_problem(sim.generate_dataset(2000, 0), row, degree=k, m=m)
+        n_rows, n_live = problem.nonzero_rows.size, problem.live_columns.size
+        index = replicate_indices(row, 200, problem.m, int(np.floor(c * problem.m)))
+        _, drop_counts = problem._dropped_rows(index)
+        if route == DOWNDATE:
+            assert n_rows <= n_live and (n_rows - drop_counts < drop_counts).all()
+        else:
+            assert (drop_counts >= n_live).all() and (drop_counts < n_rows - drop_counts).all()
+        coefficients, ranks, routes = problem.solve_rows(index)
+        assert (routes == route).all()
+        ref_coefficients, ref_ranks = TestReplicateDowndateGate.live_column_loop(problem, index)
+        assert (ranks == ref_ranks).all()
+        kappa = np.empty(index.shape[0])
+        for b, rows in enumerate(index):
+            sv = scipy.linalg.svdvals(problem.Xw[rows][:, problem.live_columns])
+            kappa[b] = sv[0] / sv[ranks[b] - 1]
+        scores = problem.scores_from_coefficients(coefficients)
+        ref_scores = problem.scores_from_coefficients(ref_coefficients)
+        bound = np.maximum(1e-7, 10 * np.finfo(float).eps * kappa)
+        assert (np.abs(scores - ref_scores) <= bound[:, None] * np.abs(ref_scores).max(axis=0)).all()
 
     @pytest.mark.parametrize("make_dataset, row, relations, c", [
         (lambda: sim.generate_dataset(2000, 0), 0, 1, 0.9),
@@ -1147,12 +1203,13 @@ class TestReplicateDowndateGate:
         assert np.abs(coefficients).max() <= 1e-12 * np.abs(problem.point_fit.coefficients).max()
 
     def test_subsets_dropping_only_related_rows_or_every_nonzero_row(self):
-        """Downdates that leave no lost direction: every dropped row touches a relation, or no nonzero row is kept.
+        """Downdates whose dropped rows all touch a relation, or that keep no nonzero row.
 
         Row 1 and its three copies lead the neighborhood, which has 65
         nonzero rows and 3 relations among them.  Dropping 1 to 3 of the
         four removes one relation per row and keeps the rank; the fourth
-        takes one rank.  Dropping every nonzero row leaves the zero fit.
+        takes one rank.  Dropping every nonzero row leaves rank 0, a fit of
+        rounding error only, which the bootstrap counts as failed.
         """
         problem = self.paper_problem(three_copies_dataset(), 1)
         n_rows, live = problem.nonzero_rows.size, problem.live_columns
@@ -1165,8 +1222,7 @@ class TestReplicateDowndateGate:
         solved, fits, ranks = problem._downdate(dropped, dropped.sum(axis=1))
         assert solved.all()
         assert ranks.tolist() == [62, 62, 62, 61, 0]
-        assert (fits[4] == 0).all()
-        for mask, fit, rank in zip(dropped, fits, ranks):
+        for mask, fit, rank in zip(dropped[:4], fits, ranks):
             kept = np.setdiff1d(np.arange(problem.m), problem.nonzero_rows[mask])
             ref, ref_rank = lstsq_min_norm(problem.Xw[kept][:, live], problem.yw[kept])
             assert ref_rank == rank
